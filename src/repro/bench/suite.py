@@ -29,7 +29,17 @@ from collections.abc import Callable
 
 import numpy as np
 
-from ..engine import EXASCALE, KRAKEN, RequestBatch, merge_batches, solve, solve_many
+from ..engine import (
+    EXASCALE,
+    GRID5000,
+    KRAKEN,
+    Machine,
+    RequestBatch,
+    merge_batches,
+    solve,
+    solve_many,
+)
+from ..engine.vectorized import _solve_lockstep_heap, _solve_staggered, _solve_wide_fifo
 from ..experiments import (
     run_app_interference,
     run_spare_time,
@@ -44,10 +54,16 @@ from ..serve import SolveService, demo_stream
 from ..stats import run_replications
 from ..stats.replication import replication_rng
 from ..util import MB, FloatArray
-from ..workloads import resolve_arrival_process
+from ..workloads import Workload, resolve_arrival_process, run_composition
 from .registry import register_benchmark
 
-__all__ = ["STORM_RANKS", "E2_REPLICATIONS", "E2_ITERATIONS"]
+__all__ = [
+    "STORM_RANKS",
+    "E2_REPLICATIONS",
+    "E2_ITERATIONS",
+    "LANE_SERVE_CELLS",
+    "LANE_SWEEP_OSTS",
+]
 
 #: The E2 create-storm scale every solver micro-benchmark replays.
 STORM_RANKS = 2304
@@ -112,8 +128,8 @@ def _bench_solve_reference() -> tuple[Callable[[], None], float]:
 
 def _exascale_staggered() -> tuple[list[tuple[RequestBatch, bool]], FloatArray]:
     """The staggered unequal-size stressor: 9216 poisson writers plus a
-    9216-rank burst front on the exascale machine's 1024 OSTs — the exact
-    shape that falls off every matrix fast path into per-event solving."""
+    9216-rank burst front on the exascale machine's 1024 OSTs, solved by
+    the lockstep row-min sweep rather than a closed-form matrix path."""
     rng = np.random.default_rng(1)
     batches: list[tuple[RequestBatch, bool]] = []
     for process, large_writes in (("poisson", False), ("burst", True)):
@@ -161,7 +177,7 @@ def _bench_staggered_compiled() -> tuple[Callable[[], None], float]:
     "micro.solve_staggered.vectorized",
     kind="micro",
     params={**_STAGGERED_PARAMS, "backend": "vectorized"},
-    description="numpy backend's per-lane event loops on the same staggered workload",
+    description="numpy backend's lockstep row-min sweep on the same staggered workload",
 )
 def _bench_staggered_vectorized() -> tuple[Callable[[], None], float]:
     return _make_staggered("vectorized")
@@ -175,6 +191,150 @@ def _bench_staggered_vectorized() -> tuple[Callable[[], None], float]:
 )
 def _bench_staggered_reference() -> tuple[Callable[[], None], float]:
     return _make_staggered("reference")
+
+
+# --------------------------------------------------------------------------
+# All-lanes kernels vs the per-lane loops, on E9- and serve-shaped batches.
+# Each run regroups a fresh copy of the batch, as a solve of a new batch
+# does: the per-lane loops and the mixed-size kernel pay the lane lexsort,
+# the equal-size two-phase solve its own grouping sort.
+# --------------------------------------------------------------------------
+
+#: The OST counts the width sweep measures ``WIDE_MIN_GROUPS`` at.
+LANE_SWEEP_OSTS = (64, 128, 256, 336, 512)
+
+#: Serve-shaped stacks of 24-OST grid5000 cells: a flush's 4-cell bucket
+#: (96 OSTs), then the first stacks past 128 and past 256 OSTs.
+LANE_SERVE_CELLS = (4, 6, 11)
+
+#: A staggered batch ready for a kernel: machine, batch, background, write class.
+_Staggered = tuple[Machine, RequestBatch, FloatArray | None, bool]
+
+
+def _e9_merged(machine: Machine, ranks: int, approach: str) -> _Staggered:
+    """One E9 iteration's merged batch: a ``ranks``-rank foreground on
+    ``approach`` plus the heavy bursty file-per-process contender."""
+    foreground = Workload(
+        app="sim", ranks=ranks, data_per_rank=45 * MB, arrival="periodic", approach=approach
+    )
+    contender = Workload(
+        app="background",
+        ranks=ranks,
+        data_per_rank=45 * MB,
+        arrival="burst",
+        approach="file-per-process",
+    )
+    outcome = run_composition(machine, [foreground, contender], 1, period=120.0, seed=0)
+    iteration = outcome.trace.iterations[0]
+    merged, _ = merge_batches([iteration.batches[app] for app in outcome.apps])
+    return machine, merged, iteration.background, iteration.large_writes
+
+
+def _lane_kernel_run(
+    make_work: Callable[[], list[_Staggered]], all_lanes: bool
+) -> tuple[Callable[[], None], float]:
+    """Time the all-lanes kernels or the per-lane loops on the batches."""
+    work = make_work()
+
+    def run() -> None:
+        for machine, batch, background, large_writes in work:
+            slope = (
+                machine.large_write_seek_penalty
+                if large_writes
+                else machine.small_write_seek_penalty
+            )
+            bw = machine.ost_bandwidth
+            bg = np.zeros(machine.ost_count) if background is None else background
+            fresh = RequestBatch(batch.arrival, batch.ost, batch.nbytes)
+            if not all_lanes:
+                _solve_staggered(bw, slope, fresh.lanes(machine.ost_count), bg)
+            elif np.all(batch.nbytes == batch.nbytes[0]):
+                ost = batch.ost % machine.ost_count
+                _solve_wide_fifo(bw, slope, ost, batch.arrival, float(batch.nbytes[0]), bg)
+            else:
+                _solve_lockstep_heap(bw, slope, fresh.lanes(machine.ost_count), bg)
+
+    return run, float(sum(len(batch) for _, batch, _, _ in work))
+
+
+def _register_lane_pair(
+    shape: str, params: dict[str, object], description: str, work: Callable[[], list[_Staggered]]
+) -> None:
+    for side, all_lanes, what in (
+        ("all_lanes", True, "all-lanes kernels"),
+        ("per_lane", False, "per-lane loops"),
+    ):
+        register_benchmark(
+            f"micro.lanes.{shape}.{side}",
+            kind="micro",
+            params={**params, "kernels": side},
+            description=f"{what} on {description}",
+        )(functools.partial(_lane_kernel_run, work, all_lanes))
+
+
+def _create_storm() -> list[_Staggered]:
+    [(storm, large_writes), _flush], background = _storm_workloads()
+    return [(KRAKEN, storm, background, large_writes)]
+
+
+def _e9_mixed() -> list[_Staggered]:
+    return [_e9_merged(KRAKEN, STORM_RANKS, "damaris")]
+
+
+def _serve_stack(cells: int) -> list[_Staggered]:
+    """``cells`` serve cells (128 ranks over 2 s, 8-64 MB) stacked the way
+    ``solve_many`` stacks them, one 24-OST block per cell."""
+    rng = np.random.default_rng(cells)
+    ranks = 128
+    merged, segments = merge_batches(
+        [
+            RequestBatch(
+                arrival=rng.uniform(0.0, 2.0, ranks),
+                ost=rng.integers(0, GRID5000.ost_count, ranks),
+                nbytes=rng.uniform(8 * MB, 64 * MB, ranks),
+            )
+            for _ in range(cells)
+        ]
+    )
+    stacked = RequestBatch(
+        merged.arrival, merged.ost + segments * GRID5000.ost_count, merged.nbytes
+    )
+    machine = GRID5000.with_overrides(ost_count=cells * GRID5000.ost_count)
+    return [(machine, stacked, None, False)]
+
+
+def _e9_pair(machine: Machine, ranks: int) -> list[_Staggered]:
+    return [_e9_merged(machine, ranks, "file-per-process"), _e9_merged(machine, ranks, "damaris")]
+
+
+_register_lane_pair(
+    "storm",
+    {"ranks": STORM_RANKS, "machine": "kraken", "workload": "e2-create-storm"},
+    "the 2304-rank equal-size create storm",
+    _create_storm,
+)
+_register_lane_pair(
+    "e9_mixed",
+    {"ranks": STORM_RANKS, "machine": "kraken", "workload": "e9 damaris + heavy contender"},
+    "the mixed-size E9 merged batch",
+    _e9_mixed,
+)
+for _cells in LANE_SERVE_CELLS:
+    _register_lane_pair(
+        f"serve_{_cells * GRID5000.ost_count:03d}",
+        {"cells": _cells, "osts": _cells * GRID5000.ost_count, "machine": "grid5000"},
+        f"{_cells} stacked serve cells",
+        functools.partial(_serve_stack, _cells),
+    )
+for _osts in LANE_SWEEP_OSTS:
+    # Ranks scale with the OST count, so every width keeps E9's lane depth.
+    _ranks = KRAKEN.cores_per_node * round(STORM_RANKS / KRAKEN.cores_per_node * _osts / 336)
+    _register_lane_pair(
+        f"osts_{_osts:03d}",
+        {"osts": _osts, "ranks": _ranks, "workload": "e9 file-per-process + damaris, heavy"},
+        f"E9's equal- and mixed-size merged batches on {_osts} OSTs",
+        functools.partial(_e9_pair, KRAKEN.with_overrides(ost_count=_osts), _ranks),
+    )
 
 
 @functools.cache

@@ -9,8 +9,8 @@ OST axis* — batch ``k``'s requests are shifted into OST block
 ``len(batches) * ost_count`` OSTs — and solves the whole stack in one
 call.  OSTs are independent servers in every backend, so the stacked
 solve returns exactly what per-batch solving would, while the vectorized
-backend gets one wide batch it can crunch in a few numpy passes (see
-``_solve_wide_fifo``) instead of R narrow ones.
+backend gets one wide batch it solves across all lanes at once (see
+:mod:`repro.engine.vectorized`) instead of R separate calls.
 
 The stacking rides on :func:`~repro.engine.requests.merge_batches`: its
 ``segments`` tags provide both the per-batch OST shift and the mapping

@@ -3,7 +3,11 @@
 Same model as the reference backend — every OST is an egalitarian
 processor-sharing server whose ``n`` active streams (plus background)
 each progress at ``bandwidth / (streams * seek_penalty(streams))`` — but
-solved without per-byte Python dict churn:
+solved without per-byte Python dict churn.  Every staggered solve runs in
+*virtual service time*: the cumulative per-stream service ``S(t)`` is
+monotone, so a request arriving at ``a`` with ``b`` bytes completes
+exactly when ``S`` reaches ``S(a) + b``.  A batch takes one of three
+regimes:
 
 * **Simultaneous arrivals** (dedicated-core flushes, scheduling waves):
   within an OST the stream with the least bytes finishes first, so the
@@ -11,32 +15,38 @@ solved without per-byte Python dict churn:
   with a per-segment rate that only depends on how many streams remain.
   That cumsum is evaluated for *all OSTs at once* on a padded
   ``(osts, depth)`` matrix — one numpy pass for the whole batch.
-* **Staggered arrivals** (the file-per-process create storm): a
-  heap-driven event loop in *virtual service time*.  The cumulative
-  per-stream service ``S(t)`` is monotone, so a request arriving at
-  ``a`` with ``b`` bytes completes exactly when ``S`` reaches
-  ``S(a) + b``; a min-heap of those thresholds replaces the reference
-  backend's scan-every-active-stream-per-event loop, taking the per-OST
-  cost from O(k²) to O(k log k) with no remaining-bytes bookkeeping.
-* **Wide equal-size staggered batches** (stacked replications, see
-  :mod:`repro.engine.batching`): when a batch spreads over many OST
-  groups and all writes are the same size, the per-OST FIFO loops are
-  replaced by an all-OSTs-at-once two-phase matrix solve.  In the
-  checkpoint regime the writes far outlast the arrival window, so on
-  each OST every request arrives before the first one completes: the
-  *arrival phase* is then a padded-row cumsum of per-stream service
-  (yielding each request's completion threshold) and the *completion
-  phase* a second cumsum draining the queue — a handful of numpy passes
-  over a ``(osts, depth)`` matrix instead of one Python loop per OST.
-  The regime assumption is checked exactly per OST (last arrival's
-  accumulated service vs. the first completion threshold) and violating
-  OSTs fall back to the scalar FIFO loop, so the fast path is an
-  optimisation, never an approximation.
+* **Wide staggered batches** (at least :data:`WIDE_MIN_GROUPS` OSTs and
+  requests: Kraken's 336 OSTs, stacked replications and serve fills, see
+  :mod:`repro.engine.batching`) are solved across all lanes at once:
+
+  - *equal sizes*: the exact two-phase solve.  In the checkpoint regime
+    every request of an OST arrives before its first completion, so an
+    *arrival phase* row cumsum of per-stream service gives each
+    request's completion threshold and a *completion phase* cumsum
+    drains the FIFO queue.  The regime is checked arrival by arrival in
+    the FIFO loop's own arithmetic; a lane that fails resumes at its
+    first late arrival in a lockstep FIFO sweep (one event per lane per
+    numpy pass);
+  - *mixed sizes*: the lockstep row-min sweep, which keeps the active
+    requests' thresholds in a padded ``(lanes, depth)`` matrix and
+    takes a row argmin where the per-lane loop pops a heap.
+
+* **Narrow staggered batches** keep the per-lane loops: a min-heap of
+  thresholds per OST (a FIFO pointer when sizes are equal), O(k log k)
+  per OST with no remaining-bytes bookkeeping.  Below
+  :data:`WIDE_MIN_GROUPS` OSTs a numpy pass advances too few lanes to
+  pay for itself.
+
+All three are exact: the all-lanes kernels apply the per-lane loops'
+scalar arithmetic element-wise, so every output is bit-identical to
+per-lane solving, and :func:`~repro.engine.solve_many` can move a batch
+across the width boundary by stacking it without changing a bit.
 """
 
 from __future__ import annotations
 
 import heapq
+from typing import TypeVar
 
 import numpy as np
 import numpy.typing as npt
@@ -45,28 +55,30 @@ from ..util import FloatArray, IntArray
 from .machines import Machine, PENALTY_CAP
 from .requests import LaneOrder, RequestBatch
 
-__all__ = ["solve_vectorized", "WIDE_MIN_GROUPS", "STORM_THRESHOLD_WRITES"]
+__all__ = ["solve_vectorized", "WIDE_MIN_GROUPS"]
 
-#: Minimum OST-group count before the all-OSTs-at-once matrix solver for
-#: equal-size staggered batches engages.  Stacked multi-replication
-#: batches (``solve_many``) span thousands of virtual OSTs and amortise
-#: the matrix setup; ordinary single-iteration solves keep the per-OST
-#: FIFO pointer loop unchanged.
-WIDE_MIN_GROUPS = 1024
+_Scalar = TypeVar("_Scalar", bound=np.generic)
 
-#: The storm-regime validity bound of the wide two-phase solve, in units
-#: of the shared write size: an OST lane qualifies exactly when the
-#: per-stream service accumulated by its last arrival has not passed the
-#: *first* request's completion threshold, which is one write size
-#: (``0 + size``).  Both the fast-path check and the lockstep fallback's
-#: lane selection read this single definition (:func:`_storm_regime`), so
-#: the two sides of the boundary can never drift apart.
-STORM_THRESHOLD_WRITES = 1.0
+#: Minimum OST count (and request count) at which a staggered batch goes
+#: to the all-lanes kernels: :func:`_solve_wide_fifo` for equal sizes,
+#: :func:`_solve_lockstep_heap` for mixed sizes.  Narrower batches keep
+#: the per-lane loops, which win there.  The registry's ``micro.lanes``
+#: pairs measure the crossover on E9- and serve-shaped batches (see
+#: DESIGN.md).
+WIDE_MIN_GROUPS = 256
 
+#: Live-lane floor of the lockstep sweeps: below it a numpy pass costs
+#: more than the few events it advances do in the per-lane loops, so the
+#: remaining lanes finish there (a batch with one deep lane among shallow
+#: ones would otherwise take a pass per event of that lane).
+_HANDOFF_LANES = 32
 
-def _storm_regime(service_last: FloatArray, size: float) -> npt.NDArray[np.bool_]:
-    """Which lanes satisfy the storm-regime assumption (exact check)."""
-    return service_last <= STORM_THRESHOLD_WRITES * size
+#: The lockstep sweeps keep their state at a multiple of this many rows,
+#: parking finished lanes (and padding) in it until they make up half of
+#: it.  numpy keeps up to 7 freed buffers of every byte size under 1 KiB,
+#: so state compacted to every lane count in turn would strand hundreds
+#: of small buffers (about 0.7 MB over one E9 op).
+_ROW_QUANTUM = 64
 
 
 def solve_vectorized(
@@ -94,15 +106,15 @@ def solve_vectorized(
         return _solve_simultaneous(
             machine.ost_bandwidth, slope, ost, arrival[0], batch.nbytes, bg_per_ost
         )
-    if (
-        n >= WIDE_MIN_GROUPS
-        and machine.ost_count >= WIDE_MIN_GROUPS
-        and np.all(batch.nbytes == batch.nbytes[0])
-    ):
+    if n < WIDE_MIN_GROUPS or machine.ost_count < WIDE_MIN_GROUPS:
+        return _solve_staggered(
+            machine.ost_bandwidth, slope, batch.lanes(machine.ost_count), bg_per_ost
+        )
+    if np.all(batch.nbytes == batch.nbytes[0]):
         return _solve_wide_fifo(
             machine.ost_bandwidth, slope, ost, arrival, float(batch.nbytes[0]), bg_per_ost
         )
-    return _solve_staggered(
+    return _solve_lockstep_heap(
         machine.ost_bandwidth, slope, batch.lanes(machine.ost_count), bg_per_ost
     )
 
@@ -213,10 +225,12 @@ def _solve_wide_fifo(
     * **completion phase** — the queue drains in FIFO order with the
       stream count stepping down, a second row cumsum.
 
-    The regime assumption is *checked exactly* per OST — the service
-    accumulated by the last arrival must not exceed the first request's
-    threshold — and violating OSTs are re-solved with the scalar FIFO
-    loop, so this path is bit-identical to per-OST solving either way.
+    The regime assumption is *checked exactly*, arrival by arrival, with
+    the FIFO loop's own comparison ``a_j <= a_{j-1} + (size - S_{j-1}) /
+    rate_j`` (in time units, as the loop decides it, not in service
+    units, which round differently).  An OST that fails continues from
+    its first late arrival in :func:`_solve_lockstep_fifo`, so this path
+    is bit-identical to per-OST solving either way.
     """
     n = ost.size
     # Group by OST (stable radix sort, on the narrowest dtype that holds
@@ -253,16 +267,28 @@ def _solve_wide_fifo(
 
     # Arrival phase: j streams are active in the gap before arrival j+1.
     service = np.zeros((groups, depth))
+    late = np.zeros((groups, 0), dtype=bool)  # arrival j+1 after the first completion
     if depth > 1:
         gaps = np.diff(arrivals, axis=1)
         streams = np.arange(1.0, depth)[None, :] + bg[:, None]
-        inc = np.where(valid[:, 1:], _per_stream_rate(bw, slope, streams) * gaps, 0.0)
-        np.cumsum(inc, axis=1, out=service[:, 1:])
+        rate = _per_stream_rate(bw, slope, streams)
+        # Padding sits at the end of each row, so the garbage it adds to
+        # the cumsum never reaches a real request's service.
+        np.cumsum(np.multiply(rate, gaps, out=streams), axis=1, out=service[:, 1:])
+        # Storm check, arrival by arrival, in the FIFO loop's own
+        # arithmetic: arrival j lands before the first completion iff
+        # a_j <= a_{j-1} + (size - S_{j-1}) / rate_j.
+        first_done = np.subtract(size, service[:, :-1], out=gaps)
+        np.divide(first_done, rate, out=first_done)
+        np.add(arrivals[:, :-1], first_done, out=first_done)
+        late = np.greater(arrivals[:, 1:], first_done)
+        late &= valid[:, 1:]
+        del gaps, streams, rate, first_done
+    storm = ~late.any(axis=1)
     thresholds = service + size
     rows = np.arange(groups)
     service_last = service[rows, counts - 1]
     t_last = arrivals[rows, counts - 1]
-    storm = _storm_regime(service_last, size)
 
     # Completion phase: the queue drains FIFO, streams stepping down.
     remaining = counts[:, None] - np.arange(depth)[None, :]
@@ -275,15 +301,19 @@ def _solve_wide_fifo(
     dt[:, 0] += t_last
     finish = np.cumsum(dt, axis=1)
 
-    out = np.empty(n, dtype=np.float64)
+    out = np.empty(n + 1, dtype=np.float64)  # out[n]: scratch for the lockstep
     # Scatter every lane unmasked; lanes that failed the storm check hold
     # garbage here and are overwritten by the lockstep re-solve below.
     out[order] = finish[group_id, pos]
     if not storm.all():
         # Sparse early arrivals let a request finish mid-storm; those
-        # lanes re-run in lockstep — one event per lane per pass, same
-        # scalar arithmetic as the FIFO loop, still fully vectorised.
+        # lanes continue in lockstep from their first late arrival — one
+        # event per lane per pass, same scalar arithmetic as the FIFO loop.
         bad = np.flatnonzero(~storm)
+        resume = late[bad].argmax(axis=1) + 1
+        flat_thresholds = np.empty(n + 2)
+        arrived = np.arange(depth)[None, :] < resume[:, None]
+        flat_thresholds[(starts[bad, None] + np.arange(depth))[arrived]] = thresholds[bad][arrived]
         _solve_lockstep_fifo(
             bw,
             slope,
@@ -294,66 +324,246 @@ def _solve_wide_fifo(
             starts[bad],
             starts[bad] + counts[bad],
             out,
+            nxt=starts[bad] + resume,
+            t=arrivals[bad, resume - 1],
+            service=service[bad, resume - 1],
+            thresholds=flat_thresholds,
         )
-    return out
+    return out[:n]
 
 
 def _solve_lockstep_fifo(
     bw: float,
     slope: float,
-    bg_per_lane: FloatArray,
+    bg: FloatArray,
     arr: FloatArray,
     size: float,
     positions: IntArray,
-    starts: IntArray,
-    ends: IntArray,
+    head: IntArray,
+    end: IntArray,
     out: FloatArray,
+    *,
+    nxt: IntArray,
+    t: FloatArray,
+    service: FloatArray,
+    thresholds: FloatArray,
 ) -> None:
     """Lockstep FIFO sweep over a subset of OST lanes.
 
     ``arr``/``positions`` are flat arrival-sorted-per-OST views and each
-    (start, end) pair is one lane.  Every lane's scalar loop state (wall
-    clock, cumulative service, arrival/completion cursors) is one vector
-    element and each pass advances every still-active lane by exactly one
-    event — an idle jump, an arrival, or a completion — with the per-OST
-    FIFO loop's arithmetic applied element-wise, so results stay
-    bit-identical to scalar solving.
+    ``[head, end)`` pair is one lane, resumed with ``nxt`` as its next
+    arrival, wall clock ``t``, cumulative service ``service`` and the
+    completion thresholds of its active requests ``[head, nxt)`` in the
+    flat ``thresholds``.  Every lane's scalar loop state is one vector
+    element and each pass advances every live lane by exactly one event
+    — an idle jump, an arrival, or a completion — with the per-OST FIFO
+    loop's arithmetic applied element-wise, so results stay bit-identical
+    to scalar solving.  As in :func:`_solve_lockstep_heap`, finished lanes
+    are parked and later compacted out, and the last few live lanes finish
+    in :func:`_solve_one_ost_fifo`.  ``out`` has one scratch slot past the
+    ``n`` requests and ``thresholds`` two.
     """
     n = arr.size
-    head = starts.astype(np.int64).copy()  # oldest active request per lane
-    nxt = head.copy()  # next arrival per lane
-    ends = ends.astype(np.int64)
-    t = np.zeros(head.size)  # wall clock per lane
-    service = np.zeros(head.size)  # cumulative per-stream service per lane
-    thresholds = np.empty(n)  # service level at which a request completes
-
-    active = head < ends
-    while active.any():
-        idle = active & (head == nxt)
+    # A padding row sits on scratch slot n (threshold 0, its own service)
+    # with end -1, like a parked lane: it computes its own state again
+    # every pass and writes nothing.
+    thresholds[n] = 0.0
+    pad = -head.size % _ROW_QUANTUM
+    head, nxt, end = _padded(head, n, pad), _padded(nxt, n + 1, pad), _padded(end, -1, pad)
+    t, service, bg = _padded(t, 0.0, pad), _padded(service, 0.0, pad), _padded(bg, 0.0, pad)
+    parked = pad
+    while head.size - parked >= _HANDOFF_LANES:
+        idle = head == nxt
         if idle.any():
-            ii = nxt[idle]
-            t[idle] = np.maximum(t[idle], arr[ii])
-            thresholds[ii] = service[idle] + size
-            nxt[idle] += 1
-        busy = np.flatnonzero(active & (head != nxt))
-        if busy.size:
-            hb, ib = head[busy], nxt[busy]
-            streams = (ib - hb) + bg_per_lane[busy]
-            rate = _per_stream_rate(bw, slope, streams)
-            t_busy, s_busy = t[busy], service[busy]
-            t_complete = t_busy + (thresholds[hb] - s_busy) / rate
-            has_next = ib < ends[busy]
-            arr_next = np.where(has_next, arr[np.minimum(ib, n - 1)], np.inf)
-            arrive = has_next & (arr_next <= t_complete)
-            s_new = np.where(arrive, s_busy + rate * (arr_next - t_busy), thresholds[hb])
-            service[busy] = s_new
-            t[busy] = np.where(arrive, arr_next, t_complete)
-            thresholds[ib[arrive]] = s_new[arrive] + size
-            nxt[busy[arrive]] += 1
-            done = ~arrive
-            out[positions[hb[done]]] = t_complete[done]
-            head[busy[done]] += 1
-        active = head < ends
+            # Idle lane: jump to the next arrival; no service accrues.
+            ii = np.minimum(nxt, n - 1)
+            t = np.where(idle, np.maximum(t, arr[ii]), t)
+            thresholds[np.where(idle, nxt, n + 1)] = service + size
+            nxt += idle
+        rate = _per_stream_rate(bw, slope, (nxt - head) + bg)
+        threshold = thresholds[head]
+        t_complete = t + (threshold - service) / rate
+        has_next = nxt < end
+        arr_next = arr[np.minimum(nxt, n - 1)]
+        arrive = has_next & (arr_next <= t_complete)
+        went = ~arrive & (head < end)
+        service = np.where(arrive, service + rate * (arr_next - t), threshold)
+        t = np.where(arrive, arr_next, t_complete)
+        thresholds[np.where(arrive, nxt, n + 1)] = service + size
+        nxt += arrive
+        out[np.where(went, positions[np.minimum(head, n - 1)], n)] = t
+        head += went
+        finished = (head == end).nonzero()[0]
+        if finished.size:
+            # Parked back on its last request with end -1, a finished lane
+            # computes its own final state again every pass.
+            head[finished] -= 1
+            end[finished] = -1
+            parked += finished.size
+            if 2 * parked >= head.size:
+                keep = _quantum_rows(end >= 0)
+                head, end, nxt, t, service, bg = (
+                    head[keep], end[keep], nxt[keep], t[keep], service[keep], bg[keep]
+                )
+                parked = int(np.count_nonzero(end < 0))
+    for k in np.flatnonzero(end >= 0).tolist():
+        lo, mid, hi = int(head[k]), int(nxt[k]), int(end[k])
+        _solve_one_ost_fifo(
+            bw,
+            slope,
+            float(bg[k]),
+            arr[lo:hi].tolist(),
+            [size] * (hi - lo),
+            positions[lo:hi].tolist(),
+            0,
+            hi - lo,
+            out,
+            t=float(t[k]),
+            service=float(service[k]),
+            active=thresholds[lo:mid].tolist(),
+        )
+
+
+def _padded(values: npt.NDArray[_Scalar], fill: float, count: int) -> npt.NDArray[_Scalar]:
+    """``values`` followed by ``count`` copies of ``fill``."""
+    return np.concatenate([values, np.full(count, fill, dtype=values.dtype)])
+
+
+def _quantum_rows(keep: npt.NDArray[np.bool_]) -> npt.NDArray[np.bool_]:
+    """``keep`` plus as many dropped rows as round it up to whole quanta."""
+    spare = -int(np.count_nonzero(keep)) % _ROW_QUANTUM
+    keep[np.flatnonzero(~keep)[:spare]] = True
+    return keep
+
+
+def _solve_lockstep_heap(
+    bw: float,
+    slope: float,
+    lanes: LaneOrder,
+    bg_per_ost: FloatArray,
+) -> FloatArray:
+    """Lockstep mixed-size sweep over every OST lane of a batch.
+
+    The counterpart of :func:`_solve_lockstep_fifo` for unequal sizes:
+    every lane's scalar loop state (wall clock, cumulative service, next
+    arrival, active count) is one vector element, and each pass advances
+    every live lane by one event with :func:`_solve_one_ost`'s arithmetic
+    applied element-wise.  The heap becomes a padded ``(lanes, depth)``
+    matrix of completion thresholds — slot ``k`` holds the lane's ``k``-th
+    arrival, ``inf`` while it is not active — and a row argmin picks the
+    next completion.  Equal thresholds are the one place the two differ:
+    the argmin takes the lowest slot where the heap takes the lowest
+    output position, but the second of two equal thresholds then has no
+    service left and completes at the same instant, so every output is
+    unchanged.  Finished lanes are parked, then compacted out of the
+    state once they make up half of it; arrivals, sizes and positions are
+    read from the flat lane-order arrays.
+
+    One deep lane must not cost a pass per event or widen the matrix for
+    every lane.  So lanes deeper than the :data:`_HANDOFF_LANES`-th
+    deepest go straight to :func:`_solve_one_ost`, and once fewer than
+    :data:`_HANDOFF_LANES` lanes are live each resumes there from its
+    current state.
+    """
+    arr, sizes, positions = lanes.arrival, lanes.nbytes, lanes.order
+    n = arr.size
+    out = np.empty(n + 1, dtype=np.float64)  # out[n]: scratch for non-completions
+    counts = lanes.ends - lanes.starts
+    depth = 0
+    if counts.size >= _HANDOFF_LANES:
+        depth = int(np.partition(counts, -_HANDOFF_LANES)[-_HANDOFF_LANES])
+    swept = counts <= depth
+    bg_all = bg_per_ost[lanes.ost].astype(np.float64)
+    # (next arrival, end, background, wall clock, service, heap) per lane
+    # left to the per-lane loop.
+    rest: list[tuple[int, int, float, float, float, list[tuple[float, int]]]] = [
+        (int(lanes.starts[k]), int(lanes.ends[k]), float(bg_all[k]), 0.0, 0.0, [])
+        for k in np.flatnonzero(~swept).tolist()
+    ]
+    # Padding rows start out parked: no requests, active -1.
+    pad = -int(np.count_nonzero(swept)) % _ROW_QUANTUM
+    start = _padded(lanes.starts[swept], 0, pad)
+    end = _padded(lanes.ends[swept], 0, pad)
+    bg = _padded(bg_all[swept], 0.0, pad)
+    live = start.size
+    # Column ``depth`` is a scratch slot: rows with nothing to record in a
+    # pass write ``inf`` there, so every scatter covers all rows and no
+    # pass builds arrays sized by how many lanes took which branch.
+    thresholds = np.full((live, depth + 1), np.inf)
+    thresholds[live - pad :, 0] = 0.0
+    nxt = start.copy()  # next arrival per lane (flat index)
+    active = _padded(np.zeros(live - pad, dtype=np.int64), -1, pad)  # requests in service
+    t = np.zeros(live)  # wall clock per lane
+    service = np.zeros(live)  # cumulative per-stream service per lane
+    rows = np.arange(live)
+    parked = pad  # parked rows: finished lanes and padding (active -1)
+    while live - parked >= _HANDOFF_LANES:
+        idle = active == 0
+        if idle.any():
+            # Idle lane: jump to the next arrival; no service accrues.
+            ii = np.minimum(nxt, n - 1)
+            t = np.where(idle, np.maximum(t, arr[ii]), t)
+            thresholds[rows, np.where(idle, nxt - start, depth)] = np.where(
+                idle, service + sizes[ii], np.inf
+            )
+            nxt += idle
+            active += idle
+        # Parked lanes count one stream, which keeps their rate finite.
+        rate = _per_stream_rate(bw, slope, np.maximum(active, 1) + bg)
+        # Slots at or past a lane's next arrival are still empty.
+        slot = thresholds[:, : int((nxt - start).max())].argmin(axis=1)
+        threshold = thresholds[rows, slot]
+        t_complete = t + (threshold - service) / rate
+        has_next = nxt < end
+        ii = np.minimum(nxt, n - 1)
+        arr_next = arr[ii]
+        arrive = has_next & (arr_next <= t_complete)
+        went = ~arrive & (active > 0)
+        service = np.where(arrive, service + rate * (arr_next - t), threshold)
+        t = np.where(arrive, arr_next, t_complete)
+        # Arrivals fill their slot, completions clear theirs.
+        column = np.where(arrive, nxt - start, np.where(went, slot, depth))
+        thresholds[rows, column] = np.where(arrive, service + sizes[ii], np.inf)
+        out[np.where(went, positions[start + slot], n)] = t
+        nxt += arrive
+        active += arrive
+        active -= went
+        finished = ((active == 0) & ~has_next).nonzero()[0]
+        if finished.size:
+            # A parked lane's only threshold is its own service level: it
+            # completes nothing, at its own clock, every pass.
+            active[finished] = -1
+            thresholds[finished, 0] = service[finished]
+            parked += finished.size
+            if 2 * parked >= live:
+                keep = _quantum_rows(active >= 0)
+                thresholds = thresholds[keep]
+                start, end, nxt, active = start[keep], end[keep], nxt[keep], active[keep]
+                t, service, bg = t[keep], service[keep], bg[keep]
+                live = start.size
+                rows = rows[:live]
+                parked = int(np.count_nonzero(active < 0))
+    for k in np.flatnonzero(active >= 0).tolist():
+        slots = np.flatnonzero(thresholds[k] < np.inf)
+        heap = list(zip(thresholds[k, slots].tolist(), positions[start[k] + slots].tolist()))
+        heapq.heapify(heap)
+        rest.append((int(nxt[k]), int(end[k]), float(bg[k]), float(t[k]), float(service[k]), heap))
+    for lo, hi, lane_bg, lane_t, lane_service, heap in rest:
+        _solve_one_ost(
+            bw,
+            slope,
+            lane_bg,
+            arr[lo:hi].tolist(),
+            sizes[lo:hi].tolist(),
+            positions[lo:hi].tolist(),
+            0,
+            hi - lo,
+            out,
+            t=lane_t,
+            service=lane_service,
+            heap=heap,
+        )
+    return out[:n]
 
 
 def _solve_one_ost(
@@ -366,11 +576,20 @@ def _solve_one_ost(
     start: int,
     end: int,
     out: FloatArray,
+    *,
+    t: float = 0.0,
+    service: float = 0.0,
+    heap: list[tuple[float, int]] | None = None,
 ) -> None:
-    """Virtual-service-time sweep of one OST's arrival-sorted requests."""
-    heap: list[tuple[float, int]] = []  # (service threshold, output position)
-    t = 0.0  # wall-clock time
-    service = 0.0  # cumulative per-stream service S(t)
+    """Virtual-service-time sweep of one OST's arrival-sorted requests.
+
+    ``t`` (wall clock), ``service`` (cumulative per-stream service) and
+    ``heap`` (``(threshold, position)`` of the active requests) resume a
+    lane mid-sweep from ``start``, its next arrival; the defaults start
+    an idle lane from time zero.
+    """
+    if heap is None:
+        heap = []
     i = start
     while i < end or heap:
         if not heap:
@@ -407,13 +626,23 @@ def _solve_one_ost_fifo(
     start: int,
     end: int,
     out: FloatArray,
+    *,
+    t: float = 0.0,
+    service: float = 0.0,
+    active: list[float] | None = None,
 ) -> None:
-    """Equal-size variant: completions follow arrival order, no heap."""
+    """Equal-size variant: completions follow arrival order, no heap.
+
+    ``t``, ``service`` and ``active`` (the thresholds of the requests
+    from ``start`` on that have already arrived) resume a lane mid-sweep;
+    the defaults start an idle lane from time zero.
+    """
     thresholds = [0.0] * (end - start)
     head = start  # oldest active request (next to complete)
     i = start  # next arrival
-    t = 0.0
-    service = 0.0
+    if active:
+        thresholds[: len(active)] = active
+        i += len(active)
     while head < end:
         if head == i:
             if arrivals[i] > t:

@@ -20,6 +20,7 @@ from repro.engine import (
     default_backend,
     simulate_writes,
     solve,
+    solve_many,
     use_backend,
 )
 from repro.experiments import run_throughput, run_weak_scaling
@@ -198,34 +199,18 @@ def test_experiment_tables_identical_across_backends():
 
 
 def test_storm_threshold_boundary_pinned():
-    """The wide-FIFO validity check lives in one named constant and the
-    boundary case sits exactly on it.
+    """Both sides of the wide-FIFO storm boundary match the reference.
 
-    The storm regime holds while the service accumulated by the last
-    arrival does not exceed ``STORM_THRESHOLD_WRITES`` writes; the bound
-    is inclusive.  Built with exact float arithmetic (power-of-two
-    bandwidth, size, and gap) so ``service_last == size`` lands on the
-    boundary with no rounding, and both sides of it must still match
-    the reference solver bit-for-bit via the per-lane re-solve.
+    The storm regime holds while every arrival lands no later than the
+    first request's completion.  Built with exact float arithmetic
+    (power-of-two bandwidth, size, and gap) so the second arrival lands
+    exactly on the first completion for ``g = 2**-10`` (storm path) and
+    after it for ``g = 2**-9`` (lockstep re-solve); both must agree with
+    the reference event loop bit-for-bit.
     """
-    from repro.engine.vectorized import (
-        STORM_THRESHOLD_WRITES,
-        WIDE_MIN_GROUPS,
-        _storm_regime,
-    )
+    from repro.engine.vectorized import WIDE_MIN_GROUPS
 
-    # The bound is definitionally exact: one write of service.
-    assert STORM_THRESHOLD_WRITES == 1.0  # repro: allow[DET004]
     size = float(2**20)
-    # Inclusive bound: exactly one write of service is still storm regime.
-    assert bool(_storm_regime(np.array([size]), size))
-    assert not bool(_storm_regime(np.array([np.nextafter(size, np.inf)]), size))
-
-    # Two equal-size requests per lane, gap g: single-stream service at
-    # the second arrival is exactly bw * g.  bw = 2**30, size = 2**20:
-    # g = 2**-10 puts every lane exactly ON the bound (storm path) and
-    # g = 2**-9 pushes every lane past it (lockstep fallback) — both
-    # must agree with the reference event loop exactly.
     machine = KRAKEN.with_overrides(ost_count=WIDE_MIN_GROUPS, ost_bandwidth=float(2**30))
     lanes = np.arange(WIDE_MIN_GROUPS, dtype=np.int64)
     for gap in (2.0**-10, 2.0**-9):
@@ -237,3 +222,20 @@ def test_storm_threshold_boundary_pinned():
         vec = solve(machine, batch, large_writes=False, backend="vectorized")
         ref = solve(machine, batch, large_writes=False, backend="reference")
         np.testing.assert_array_equal(vec, ref, err_msg=f"gap {gap}")
+
+
+def test_storm_check_rounds_like_the_fifo_loop():
+    """The wide path decides the storm regime in the per-lane loop's own
+    time-unit arithmetic, not in service units that round differently.
+
+    Here the second arrival and the first completion coincide up to one
+    ulp: the FIFO loop completes the first request before the second
+    arrives, and the stacked solve must do the same.
+    """
+    batch = RequestBatch(
+        arrival=np.array([0.285, 0.785]), ost=np.array([0, 0]), nbytes=np.full(2, 45.0 * 2**20)
+    )
+    alone = solve(KRAKEN, batch, large_writes=False)
+    assert alone[0] == 0.7849999999999999  # repro: allow[DET004]
+    for stacked in solve_many(KRAKEN, [batch] * 1024, large_writes=False):
+        np.testing.assert_array_equal(stacked, alone)

@@ -83,18 +83,20 @@ def test_fuzz_backends_agree_on_merged_batches():
 
 
 def test_fuzz_wide_fast_path_agrees_with_reference():
-    # Equal-size staggered batches wide enough to engage the stacked
-    # matrix solver, including storm-check violations (long arrival
-    # spans) that exercise the lockstep fallback.
+    # Staggered batches wide enough to engage the all-lanes kernels:
+    # equal sizes (two-phase solve, including storm-check violations from
+    # long arrival spans that exercise the lockstep FIFO fallback) and
+    # mixed sizes (the lockstep row-min sweep).
     rng = np.random.default_rng(99)
     machine = KRAKEN.with_overrides(ost_count=4 * WIDE_MIN_GROUPS)
-    for case in range(10):
+    for case in range(20):
         n = int(rng.integers(WIDE_MIN_GROUPS, 4 * WIDE_MIN_GROUPS))
         span = float(rng.choice([5.0, 2000.0]))
+        equal_sizes = case % 2 == 0
         batch = RequestBatch(
             arrival=rng.uniform(0.0, span, n),
             ost=rng.integers(0, machine.ost_count, n),
-            nbytes=float(rng.uniform(MB, 64 * MB)),
+            nbytes=float(rng.uniform(MB, 64 * MB)) if equal_sizes else rng.uniform(MB, 64 * MB, n),
         )
         background = rng.poisson(1.2, machine.ost_count).astype(float)
         vec = solve(machine, batch, background=background, large_writes=False)

@@ -8,11 +8,15 @@ the shared best-of-N harness and asserts the speedup:
 
 * vectorized solver not slower than the reference on the 2304-rank
   create storm + flush (measured gap ≥5x at full scale);
-* stacked :func:`~repro.engine.solve_many` ≥3x the serial per-batch loop
-  on E2's 150 replication batches (measured ~5x);
-* the end-to-end batched replication driver ≥1.5x the serial
-  ``run_iteration`` loop (measured ~3x);
-* the compiled staggered kernel ≥10x the vectorized per-lane event loops
+* the all-lanes staggered kernels ≥2x the per-lane loops on the
+  2304-rank equal-size create storm (measured ~2.9x), and not slower
+  than them on the mixed-size E9 merged batch (measured ~1.45x);
+* stacked :func:`~repro.engine.solve_many` not slower than the serial
+  per-batch loop on E2's 150 replication batches, nor the end-to-end
+  batched replication driver than the serial ``run_iteration`` loop.
+  Each serial solve of a 336-OST Kraken batch runs the same all-lanes
+  kernels as the stack (measured ~1.3x for both);
+* the compiled staggered kernel ≥10x the vectorized backend
   on the 9216-rank exascale poisson+burst mix — the jitted claim, so the
   guard skips when numba is absent (the pure-python fallback is about
   semantics, not speed; the with-numba CI leg enforces the ratio).
@@ -37,39 +41,81 @@ def _best(name: str, repeats: int = 3) -> float:
     return measure(run, repeats=repeats, warmup=1).best
 
 
+def _best_pair(fast: str, slow: str, rounds: int) -> tuple[float, float]:
+    """Best seconds of two registered benchmarks timed in alternation.
+
+    Alternating the two sides round by round exposes both to the same
+    spells of host load, which back-to-back best-of-N blocks do not; the
+    guards whose margin is thin measure this way.
+    """
+    runs = [resolve_benchmark(name).prepare()[0] for name in (fast, slow)]
+    best = [measure(run, repeats=1, warmup=1).best for run in runs]
+    for _ in range(rounds - 1):
+        for side, run in enumerate(runs):
+            best[side] = min(best[side], measure(run, repeats=1, warmup=0).best)
+    return best[0], best[1]
+
+
 def test_vectorized_not_slower_than_reference():
     vec = _best("micro.solve.vectorized")
     ref = _best("micro.solve.reference")
     assert_speedup(vec, ref, ratio=1.0, label="vectorized vs reference solver")
 
 
-def test_batched_replication_solve_beats_serial_loop_3x():
-    """Stacked solve_many >= 3x faster than the per-replication solve loop.
+def test_all_lanes_kernels_beat_per_lane_loops_on_storm():
+    """The all-lanes kernels >= 2x the per-lane loops on a 336-OST storm.
 
-    This is the engine-level acceptance criterion of the batched
-    replication path: R replications' request batches solved in one
-    numpy call instead of R x iterations Python-looped solves, on E2's
-    full-scale workload.  Measured gap ~5x; 3x leaves noise margin.
+    The routing claim behind ``WIDE_MIN_GROUPS``: an equal-size create
+    storm on Kraken's 336 OSTs is solved across every lane at once.
+    Measured gap ~2.9x.
     """
-    batched = _best("micro.solve_many.stacked")
-    serial = _best("micro.solve_many.serial")
-    assert_speedup(batched, serial, ratio=3.0, label="stacked solve_many vs serial loop")
+    all_lanes, per_lane = _best_pair(
+        "micro.lanes.storm.all_lanes", "micro.lanes.storm.per_lane", 20
+    )
+    assert_speedup(all_lanes, per_lane, ratio=2.0, label="all-lanes vs per-lane, storm")
+
+
+def test_lockstep_heap_not_slower_than_per_lane_loops_on_e9():
+    """The mixed-size lockstep kernel does not lose on E9's merged batch.
+
+    Measured gap ~1.5x; asserted at parity, the bar the vectorized vs
+    reference guard uses.
+    """
+    all_lanes, per_lane = _best_pair(
+        "micro.lanes.e9_mixed.all_lanes", "micro.lanes.e9_mixed.per_lane", 20
+    )
+    assert_speedup(all_lanes, per_lane, ratio=1.0, label="all-lanes vs per-lane, E9 mixed")
+
+
+def test_batched_replication_solve_beats_serial_loop():
+    """Stacked solve_many is not slower than the per-replication solve loop.
+
+    R replications' request batches solved in one stacked call instead
+    of R x iterations solves, on E2's full-scale workload.  Each serial
+    solve is itself an all-lanes kernel call on Kraken's 336 OSTs, so the
+    stack's remaining edge is the per-call overhead (measured ~1.3x);
+    asserted at parity.
+    """
+    batched, serial = _best_pair("micro.solve_many.stacked", "micro.solve_many.serial", 5)
+    assert_speedup(batched, serial, ratio=1.0, label="stacked solve_many vs serial loop")
 
 
 def test_batched_replication_driver_beats_serial():
-    """End to end, the batched replication driver must beat the serial loop.
+    """End to end, the batched replication driver is not slower than the
+    serial loop.
 
     Covers all three E2 approaches at full scale, rng and finalize
-    included.  Measured gap ~3x; asserted at 1.5x so noise in the
-    non-solver portions (shared rng draws) cannot flake the build.
+    included.  Measured gap ~1.3x since the serial side's solves run the
+    all-lanes kernels; asserted at parity.
     """
-    batched = _best("micro.replication.driver_batched", repeats=2)
-    serial = _best("micro.replication.driver_serial", repeats=2)
-    assert_speedup(batched, serial, ratio=1.5, label="batched vs serial replication driver")
+    batched, serial = _best_pair(
+        "micro.replication.driver_batched", "micro.replication.driver_serial", 3
+    )
+    assert_speedup(batched, serial, ratio=1.0, label="batched vs serial replication driver")
 
 
 def test_compiled_staggered_kernel_beats_vectorized_10x():
-    """Jitted staggered kernel >= 10x the per-lane event loops at exascale.
+    """Jitted staggered kernel >= 10x the vectorized backend at exascale.
 
     The order-of-magnitude claim of the compiled backend, measured on
     the registered 9216-rank poisson+burst workload.  Only meaningful
