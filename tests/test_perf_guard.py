@@ -9,7 +9,7 @@ the shared best-of-N harness and asserts the speedup:
 * vectorized solver not slower than the reference on the 2304-rank
   create storm + flush (measured gap ≥5x at full scale);
 * the all-lanes staggered kernels ≥2x the per-lane loops on the
-  2304-rank equal-size create storm (measured ~2.9x), and not slower
+  2304-rank equal-size create storm (measured 2.2-3.2x), and not slower
   than them on the mixed-size E9 merged batch (measured ~1.45x);
 * stacked :func:`~repro.engine.solve_many` not slower than the serial
   per-batch loop on E2's 150 replication batches, nor the end-to-end
@@ -67,10 +67,10 @@ def test_all_lanes_kernels_beat_per_lane_loops_on_storm():
 
     The routing claim behind ``WIDE_MIN_GROUPS``: an equal-size create
     storm on Kraken's 336 OSTs is solved across every lane at once.
-    Measured gap ~2.9x.
+    Measured gap 2.2-3.2x, depending on host load.
     """
     all_lanes, per_lane = _best_pair(
-        "micro.lanes.storm.all_lanes", "micro.lanes.storm.per_lane", 20
+        "micro.lanes.storm.all_lanes", "micro.lanes.storm.per_lane", 40
     )
     assert_speedup(all_lanes, per_lane, ratio=2.0, label="all-lanes vs per-lane, storm")
 
