@@ -253,6 +253,17 @@ def _solve_wide_fifo(
     counts = np.diff(np.append(starts, n))
     groups = counts.size
     depth = int(counts.max())
+    if (
+        groups >= _HANDOFF_LANES
+        and depth > 2 * np.partition(counts, -_HANDOFF_LANES)[-_HANDOFF_LANES]
+    ):
+        # A few lanes far deeper than the rest would pad every row of the
+        # matrices to their depth.  The row-min sweep leaves such lanes to
+        # the per-lane loop, and with equal sizes it returns the FIFO
+        # loop's bytes: thresholds rise with arrival order, so its argmin
+        # picks the oldest active request.
+        lanes = RequestBatch(arrival, ost, size).lanes(bg_per_ost.size)
+        return _solve_lockstep_heap(bw, slope, lanes, bg_per_ost)
     pos = np.arange(n) - starts[group_id]
     valid = np.arange(depth)[None, :] < counts[:, None]
 

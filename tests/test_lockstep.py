@@ -9,6 +9,7 @@ them — must return exactly what one ``solve`` per batch does.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import KRAKEN, RequestBatch, solve, solve_many
@@ -108,8 +109,10 @@ def test_equal_thresholds_complete_together():
     np.testing.assert_array_equal(solve(machine, batch, large_writes=False), per_lane)
 
 
-def test_lockstep_heap_handles_skewed_lanes():
-    """One deep lane among many single-request lanes, background on."""
+@pytest.mark.parametrize("equal_sizes", [True, False])
+def test_skewed_lanes_match_per_lane_loops(equal_sizes):
+    """One deep lane among many single-request lanes, background on: the
+    deep lane is left to the per-lane loop, whatever the sizes."""
     rng = np.random.default_rng(7)
     machine = KRAKEN.with_overrides(ost_count=WIDE_MIN_GROUPS)
     deep = 200
@@ -117,7 +120,7 @@ def test_lockstep_heap_handles_skewed_lanes():
     batch = RequestBatch(
         arrival=rng.uniform(0.0, 20.0, ost.size),
         ost=ost,
-        nbytes=rng.uniform(MB, 64 * MB, ost.size),
+        nbytes=32 * MB if equal_sizes else rng.uniform(MB, 64 * MB, ost.size),
     )
     background = rng.poisson(1.5, machine.ost_count).astype(float)
     got = solve(machine, batch, background=background, large_writes=True)
