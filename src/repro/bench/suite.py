@@ -184,6 +184,28 @@ def _bench_staggered_vectorized() -> tuple[Callable[[], None], float]:
 
 
 @register_benchmark(
+    "micro.solve_staggered.per_lane",
+    kind="micro",
+    params={**_STAGGERED_PARAMS, "backend": "vectorized", "kernels": "per_lane"},
+    description="numpy backend's per-lane event loops on the same staggered workload",
+)
+def _bench_staggered_per_lane() -> tuple[Callable[[], None], float]:
+    workloads, background = _exascale_staggered()
+    lanes = [(batch.lanes(EXASCALE.ost_count), large_writes) for batch, large_writes in workloads]
+
+    def run() -> None:
+        for view, large_writes in lanes:
+            slope = (
+                EXASCALE.large_write_seek_penalty
+                if large_writes
+                else EXASCALE.small_write_seek_penalty
+            )
+            _solve_staggered(EXASCALE.ost_bandwidth, slope, view, background)
+
+    return run, float(sum(len(batch) for batch, _ in workloads))
+
+
+@register_benchmark(
     "micro.solve_staggered.reference",
     kind="micro",
     params={**_STAGGERED_PARAMS, "backend": "reference"},

@@ -24,9 +24,8 @@ regimes:
     *arrival phase* row cumsum of per-stream service gives each
     request's completion threshold and a *completion phase* cumsum
     drains the FIFO queue.  The regime is checked arrival by arrival in
-    the FIFO loop's own arithmetic; a lane that fails resumes at its
-    first late arrival in a lockstep FIFO sweep (one event per lane per
-    numpy pass);
+    the FIFO loop's own arithmetic; the lanes that fail are solved
+    again in a lockstep FIFO sweep (one event per lane per numpy pass);
   - *mixed sizes*: the lockstep row-min sweep, which keeps the active
     requests' thresholds in a padded ``(lanes, depth)`` matrix and
     takes a row argmin where the per-lane loop pops a heap.
@@ -67,11 +66,12 @@ _Scalar = TypeVar("_Scalar", bound=np.generic)
 #: DESIGN.md).
 WIDE_MIN_GROUPS = 256
 
-#: Live-lane floor of the lockstep sweeps: below it a numpy pass costs
-#: more than the few events it advances do in the per-lane loops, so the
-#: remaining lanes finish there (a batch with one deep lane among shallow
-#: ones would otherwise take a pass per event of that lane).
-_HANDOFF_LANES = 32
+#: Lane floor of the lockstep sweeps: fewer lanes than this are cheaper
+#: in the per-lane loops than a numpy pass per event.  The mixed-size
+#: sweep also leaves every lane deeper than its this-many-th deepest to
+#: the per-lane loop, so one deep lane among shallow ones neither costs a
+#: pass per event of its own nor widens every row of the matrix.
+_LOCKSTEP_MIN_LANES = 32
 
 #: The lockstep sweeps keep their state at a multiple of this many rows,
 #: parking finished lanes (and padding) in it until they make up half of
@@ -229,8 +229,8 @@ def _solve_wide_fifo(
     the FIFO loop's own comparison ``a_j <= a_{j-1} + (size - S_{j-1}) /
     rate_j`` (in time units, as the loop decides it, not in service
     units, which round differently).  An OST that fails continues from
-    its first late arrival in :func:`_solve_lockstep_fifo`, so this path
-    is bit-identical to per-OST solving either way.
+    it again in :func:`_solve_lockstep_fifo`, so this path is
+    bit-identical to per-OST solving either way.
     """
     n = ost.size
     # Group by OST (stable radix sort, on the narrowest dtype that holds
@@ -254,8 +254,8 @@ def _solve_wide_fifo(
     groups = counts.size
     depth = int(counts.max())
     if (
-        groups >= _HANDOFF_LANES
-        and depth > 2 * np.partition(counts, -_HANDOFF_LANES)[-_HANDOFF_LANES]
+        groups >= _LOCKSTEP_MIN_LANES
+        and depth > 2 * np.partition(counts, -_LOCKSTEP_MIN_LANES)[-_LOCKSTEP_MIN_LANES]
     ):
         # A few lanes far deeper than the rest would pad every row of the
         # matrices to their depth.  The row-min sweep leaves such lanes to
@@ -278,7 +278,7 @@ def _solve_wide_fifo(
 
     # Arrival phase: j streams are active in the gap before arrival j+1.
     service = np.zeros((groups, depth))
-    late = np.zeros((groups, 0), dtype=bool)  # arrival j+1 after the first completion
+    storm = np.ones(groups, dtype=bool)  # every arrival before the first completion
     if depth > 1:
         gaps = np.diff(arrivals, axis=1)
         streams = np.arange(1.0, depth)[None, :] + bg[:, None]
@@ -294,8 +294,8 @@ def _solve_wide_fifo(
         np.add(arrivals[:, :-1], first_done, out=first_done)
         late = np.greater(arrivals[:, 1:], first_done)
         late &= valid[:, 1:]
-        del gaps, streams, rate, first_done
-    storm = ~late.any(axis=1)
+        storm = ~late.any(axis=1)
+        del gaps, streams, rate, first_done, late
     thresholds = service + size
     rows = np.arange(groups)
     service_last = service[rows, counts - 1]
@@ -318,28 +318,19 @@ def _solve_wide_fifo(
     out[order] = finish[group_id, pos]
     if not storm.all():
         # Sparse early arrivals let a request finish mid-storm; those
-        # lanes continue in lockstep from their first late arrival — one
-        # event per lane per pass, same scalar arithmetic as the FIFO loop.
+        # lanes are solved again from the start, in lockstep when enough
+        # of them failed to pay for a numpy pass.
         bad = np.flatnonzero(~storm)
-        resume = late[bad].argmax(axis=1) + 1
-        flat_thresholds = np.empty(n + 2)
-        arrived = np.arange(depth)[None, :] < resume[:, None]
-        flat_thresholds[(starts[bad, None] + np.arange(depth))[arrived]] = thresholds[bad][arrived]
-        _solve_lockstep_fifo(
-            bw,
-            slope,
-            bg[bad],
-            arrival[order],
-            size,
-            order,
-            starts[bad],
-            starts[bad] + counts[bad],
-            out,
-            nxt=starts[bad] + resume,
-            t=arrivals[bad, resume - 1],
-            service=service[bad, resume - 1],
-            thresholds=flat_thresholds,
-        )
+        arr, starts_bad, ends_bad = arrival[order], starts[bad], starts[bad] + counts[bad]
+        if bad.size >= _LOCKSTEP_MIN_LANES:
+            _solve_lockstep_fifo(bw, slope, bg[bad], arr, size, order, starts_bad, ends_bad, out)
+        else:
+            arrivals_sorted, positions = arr.tolist(), order.tolist()
+            sizes = [size] * n
+            for k, lo, hi in zip(bad.tolist(), starts_bad.tolist(), ends_bad.tolist(), strict=True):
+                _solve_one_ost_fifo(
+                    bw, slope, float(bg[k]), arrivals_sorted, sizes, positions, lo, hi, out
+                )
     return out[:n]
 
 
@@ -350,40 +341,35 @@ def _solve_lockstep_fifo(
     arr: FloatArray,
     size: float,
     positions: IntArray,
-    head: IntArray,
-    end: IntArray,
+    starts: IntArray,
+    ends: IntArray,
     out: FloatArray,
-    *,
-    nxt: IntArray,
-    t: FloatArray,
-    service: FloatArray,
-    thresholds: FloatArray,
 ) -> None:
     """Lockstep FIFO sweep over a subset of OST lanes.
 
     ``arr``/``positions`` are flat arrival-sorted-per-OST views and each
-    ``[head, end)`` pair is one lane, resumed with ``nxt`` as its next
-    arrival, wall clock ``t``, cumulative service ``service`` and the
-    completion thresholds of its active requests ``[head, nxt)`` in the
-    flat ``thresholds``.  Every lane's scalar loop state is one vector
-    element and each pass advances every live lane by exactly one event
-    — an idle jump, an arrival, or a completion — with the per-OST FIFO
-    loop's arithmetic applied element-wise, so results stay bit-identical
-    to scalar solving.  As in :func:`_solve_lockstep_heap`, finished lanes
-    are parked and later compacted out, and the last few live lanes finish
-    in :func:`_solve_one_ost_fifo`.  ``out`` has one scratch slot past the
-    ``n`` requests and ``thresholds`` two.
+    ``[starts[k], ends[k])`` pair is one lane.  Every lane's scalar loop
+    state (wall clock, cumulative service, arrival/completion cursors) is
+    one vector element and each pass advances every live lane by exactly
+    one event — an idle jump, an arrival, or a completion — with the
+    per-OST FIFO loop's arithmetic applied element-wise, so results stay
+    bit-identical to scalar solving.  As in :func:`_solve_lockstep_heap`,
+    finished lanes are parked and later compacted out.  ``out`` has one
+    scratch slot past the ``n`` requests.
     """
     n = arr.size
+    thresholds = np.empty(n + 2)  # service level at which a request completes
     # A padding row sits on scratch slot n (threshold 0, its own service)
     # with end -1, like a parked lane: it computes its own state again
     # every pass and writes nothing.
     thresholds[n] = 0.0
-    pad = -head.size % _ROW_QUANTUM
-    head, nxt, end = _padded(head, n, pad), _padded(nxt, n + 1, pad), _padded(end, -1, pad)
-    t, service, bg = _padded(t, 0.0, pad), _padded(service, 0.0, pad), _padded(bg, 0.0, pad)
+    pad = -starts.size % _ROW_QUANTUM
+    head, nxt, end = _padded(starts, n, pad), _padded(starts, n + 1, pad), _padded(ends, -1, pad)
+    bg = _padded(bg, 0.0, pad)
+    t = np.zeros(head.size)  # wall clock per lane
+    service = np.zeros(head.size)  # cumulative per-stream service per lane
     parked = pad
-    while head.size - parked >= _HANDOFF_LANES:
+    while parked < head.size:
         idle = head == nxt
         if idle.any():
             # Idle lane: jump to the next arrival; no service accrues.
@@ -417,22 +403,6 @@ def _solve_lockstep_fifo(
                     head[keep], end[keep], nxt[keep], t[keep], service[keep], bg[keep]
                 )
                 parked = int(np.count_nonzero(end < 0))
-    for k in np.flatnonzero(end >= 0).tolist():
-        lo, mid, hi = int(head[k]), int(nxt[k]), int(end[k])
-        _solve_one_ost_fifo(
-            bw,
-            slope,
-            float(bg[k]),
-            arr[lo:hi].tolist(),
-            [size] * (hi - lo),
-            positions[lo:hi].tolist(),
-            0,
-            hi - lo,
-            out,
-            t=float(t[k]),
-            service=float(service[k]),
-            active=thresholds[lo:mid].tolist(),
-        )
 
 
 def _padded(values: npt.NDArray[_Scalar], fill: float, count: int) -> npt.NDArray[_Scalar]:
@@ -470,27 +440,18 @@ def _solve_lockstep_heap(
     state once they make up half of it; arrivals, sizes and positions are
     read from the flat lane-order arrays.
 
-    One deep lane must not cost a pass per event or widen the matrix for
-    every lane.  So lanes deeper than the :data:`_HANDOFF_LANES`-th
-    deepest go straight to :func:`_solve_one_ost`, and once fewer than
-    :data:`_HANDOFF_LANES` lanes are live each resumes there from its
-    current state.
+    Lanes deeper than the :data:`_LOCKSTEP_MIN_LANES`-th deepest (every
+    lane, if there are fewer) go to :func:`_solve_one_ost` instead.
     """
     arr, sizes, positions = lanes.arrival, lanes.nbytes, lanes.order
     n = arr.size
     out = np.empty(n + 1, dtype=np.float64)  # out[n]: scratch for non-completions
     counts = lanes.ends - lanes.starts
     depth = 0
-    if counts.size >= _HANDOFF_LANES:
-        depth = int(np.partition(counts, -_HANDOFF_LANES)[-_HANDOFF_LANES])
+    if counts.size >= _LOCKSTEP_MIN_LANES:
+        depth = int(np.partition(counts, -_LOCKSTEP_MIN_LANES)[-_LOCKSTEP_MIN_LANES])
     swept = counts <= depth
     bg_all = bg_per_ost[lanes.ost].astype(np.float64)
-    # (next arrival, end, background, wall clock, service, heap) per lane
-    # left to the per-lane loop.
-    rest: list[tuple[int, int, float, float, float, list[tuple[float, int]]]] = [
-        (int(lanes.starts[k]), int(lanes.ends[k]), float(bg_all[k]), 0.0, 0.0, [])
-        for k in np.flatnonzero(~swept).tolist()
-    ]
     # Padding rows start out parked: no requests, active -1.
     pad = -int(np.count_nonzero(swept)) % _ROW_QUANTUM
     start = _padded(lanes.starts[swept], 0, pad)
@@ -508,7 +469,7 @@ def _solve_lockstep_heap(
     service = np.zeros(live)  # cumulative per-stream service per lane
     rows = np.arange(live)
     parked = pad  # parked rows: finished lanes and padding (active -1)
-    while live - parked >= _HANDOFF_LANES:
+    while parked < live:
         idle = active == 0
         if idle.any():
             # Idle lane: jump to the next arrival; no service accrues.
@@ -554,25 +515,18 @@ def _solve_lockstep_heap(
                 live = start.size
                 rows = rows[:live]
                 parked = int(np.count_nonzero(active < 0))
-    for k in np.flatnonzero(active >= 0).tolist():
-        slots = np.flatnonzero(thresholds[k] < np.inf)
-        heap = list(zip(thresholds[k, slots].tolist(), positions[start[k] + slots].tolist()))
-        heapq.heapify(heap)
-        rest.append((int(nxt[k]), int(end[k]), float(bg[k]), float(t[k]), float(service[k]), heap))
-    for lo, hi, lane_bg, lane_t, lane_service, heap in rest:
+    for k in np.flatnonzero(~swept).tolist():
+        lo, hi = int(lanes.starts[k]), int(lanes.ends[k])
         _solve_one_ost(
             bw,
             slope,
-            lane_bg,
+            float(bg_all[k]),
             arr[lo:hi].tolist(),
             sizes[lo:hi].tolist(),
             positions[lo:hi].tolist(),
             0,
             hi - lo,
             out,
-            t=lane_t,
-            service=lane_service,
-            heap=heap,
         )
     return out[:n]
 
@@ -587,20 +541,11 @@ def _solve_one_ost(
     start: int,
     end: int,
     out: FloatArray,
-    *,
-    t: float = 0.0,
-    service: float = 0.0,
-    heap: list[tuple[float, int]] | None = None,
 ) -> None:
-    """Virtual-service-time sweep of one OST's arrival-sorted requests.
-
-    ``t`` (wall clock), ``service`` (cumulative per-stream service) and
-    ``heap`` (``(threshold, position)`` of the active requests) resume a
-    lane mid-sweep from ``start``, its next arrival; the defaults start
-    an idle lane from time zero.
-    """
-    if heap is None:
-        heap = []
+    """Virtual-service-time sweep of one OST's arrival-sorted requests."""
+    heap: list[tuple[float, int]] = []  # (service threshold, output position)
+    t = 0.0  # wall-clock time
+    service = 0.0  # cumulative per-stream service S(t)
     i = start
     while i < end or heap:
         if not heap:
@@ -637,23 +582,13 @@ def _solve_one_ost_fifo(
     start: int,
     end: int,
     out: FloatArray,
-    *,
-    t: float = 0.0,
-    service: float = 0.0,
-    active: list[float] | None = None,
 ) -> None:
-    """Equal-size variant: completions follow arrival order, no heap.
-
-    ``t``, ``service`` and ``active`` (the thresholds of the requests
-    from ``start`` on that have already arrived) resume a lane mid-sweep;
-    the defaults start an idle lane from time zero.
-    """
+    """Equal-size variant: completions follow arrival order, no heap."""
     thresholds = [0.0] * (end - start)
     head = start  # oldest active request (next to complete)
     i = start  # next arrival
-    if active:
-        thresholds[: len(active)] = active
-        i += len(active)
+    t = 0.0
+    service = 0.0
     while head < end:
         if head == i:
             if arrivals[i] > t:

@@ -125,3 +125,22 @@ def test_skewed_lanes_match_per_lane_loops(equal_sizes):
     background = rng.poisson(1.5, machine.ost_count).astype(float)
     got = solve(machine, batch, background=background, large_writes=True)
     np.testing.assert_array_equal(got, _per_lane(machine, batch, background, True))
+
+
+@pytest.mark.parametrize("failing", [3, 100])
+def test_storm_check_failures_match_per_lane_loops(failing):
+    """Equal-size lanes that fail the two-phase solve's storm check (a
+    write arriving after the lane drained) are solved again, per lane
+    when few fail and in the lockstep FIFO sweep when many do."""
+    rng = np.random.default_rng(failing)
+    machine = KRAKEN.with_overrides(ost_count=WIDE_MIN_GROUPS)
+    storm = np.repeat(np.arange(WIDE_MIN_GROUPS), 4)
+    late = rng.choice(WIDE_MIN_GROUPS, failing, replace=False)
+    batch = RequestBatch(
+        arrival=np.concatenate([rng.uniform(0.0, 0.01, storm.size), np.full(failing, 1000.0)]),
+        ost=np.concatenate([storm, late]),
+        nbytes=45 * MB,
+    )
+    background = rng.poisson(1.2, machine.ost_count).astype(float)
+    got = solve(machine, batch, background=background, large_writes=False)
+    np.testing.assert_array_equal(got, _per_lane(machine, batch, background, False))
