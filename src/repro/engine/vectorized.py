@@ -66,11 +66,11 @@ _Scalar = TypeVar("_Scalar", bound=np.generic)
 #: DESIGN.md).
 WIDE_MIN_GROUPS = 256
 
-#: Lane floor of the lockstep sweeps: fewer lanes than this are cheaper
-#: in the per-lane loops than a numpy pass per event.  The mixed-size
-#: sweep also leaves every lane deeper than its this-many-th deepest to
-#: the per-lane loop, so one deep lane among shallow ones neither costs a
-#: pass per event of its own nor widens every row of the matrix.
+#: Lane floor of the mixed-size lockstep sweep: it leaves every lane
+#: deeper than its this-many-th deepest (every lane, if there are fewer)
+#: to the per-lane loop, so one deep lane among shallow ones neither
+#: costs a numpy pass per event of its own nor widens every row of the
+#: threshold matrix.
 _LOCKSTEP_MIN_LANES = 32
 
 #: The lockstep sweeps keep their state at a multiple of this many rows,
@@ -318,19 +318,11 @@ def _solve_wide_fifo(
     out[order] = finish[group_id, pos]
     if not storm.all():
         # Sparse early arrivals let a request finish mid-storm; those
-        # lanes are solved again from the start, in lockstep when enough
-        # of them failed to pay for a numpy pass.
+        # lanes are solved again from the start in lockstep — one event
+        # per lane per pass, same scalar arithmetic as the FIFO loop.
         bad = np.flatnonzero(~storm)
-        arr, starts_bad, ends_bad = arrival[order], starts[bad], starts[bad] + counts[bad]
-        if bad.size >= _LOCKSTEP_MIN_LANES:
-            _solve_lockstep_fifo(bw, slope, bg[bad], arr, size, order, starts_bad, ends_bad, out)
-        else:
-            arrivals_sorted, positions = arr.tolist(), order.tolist()
-            sizes = [size] * n
-            for k, lo, hi in zip(bad.tolist(), starts_bad.tolist(), ends_bad.tolist(), strict=True):
-                _solve_one_ost_fifo(
-                    bw, slope, float(bg[k]), arrivals_sorted, sizes, positions, lo, hi, out
-                )
+        lo, hi = starts[bad], starts[bad] + counts[bad]
+        _solve_lockstep_fifo(bw, slope, bg[bad], arrival[order], size, order, lo, hi, out)
     return out[:n]
 
 

@@ -130,8 +130,8 @@ def test_skewed_lanes_match_per_lane_loops(equal_sizes):
 @pytest.mark.parametrize("failing", [3, 100])
 def test_storm_check_failures_match_per_lane_loops(failing):
     """Equal-size lanes that fail the two-phase solve's storm check (a
-    write arriving after the lane drained) are solved again, per lane
-    when few fail and in the lockstep FIFO sweep when many do."""
+    write arriving after the lane drained) are solved again in the
+    lockstep FIFO sweep, whether a few of them fail or many."""
     rng = np.random.default_rng(failing)
     machine = KRAKEN.with_overrides(ost_count=WIDE_MIN_GROUPS)
     storm = np.repeat(np.arange(WIDE_MIN_GROUPS), 4)
