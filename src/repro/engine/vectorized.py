@@ -228,9 +228,9 @@ def _solve_wide_fifo(
     The regime assumption is *checked exactly*, arrival by arrival, with
     the FIFO loop's own comparison ``a_j <= a_{j-1} + (size - S_{j-1}) /
     rate_j`` (in time units, as the loop decides it, not in service
-    units, which round differently).  An OST that fails continues from
-    it again in :func:`_solve_lockstep_fifo`, so this path is
-    bit-identical to per-OST solving either way.
+    units, which round differently).  An OST that fails is solved again
+    in :func:`_solve_lockstep_fifo`, so this path is bit-identical to
+    per-OST solving either way.
     """
     n = ost.size
     # Group by OST (stable radix sort, on the narrowest dtype that holds
