@@ -57,7 +57,7 @@ from .workloads import (
     resolve_arrival_process,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "Machine",

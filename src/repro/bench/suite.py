@@ -164,16 +164,6 @@ _STAGGERED_PARAMS = {
 
 
 @register_benchmark(
-    "micro.solve_staggered.compiled",
-    kind="micro",
-    params={**_STAGGERED_PARAMS, "backend": "compiled"},
-    description="compiled staggered kernel on the 9216-rank exascale poisson+burst mix",
-)
-def _bench_staggered_compiled() -> tuple[Callable[[], None], float]:
-    return _make_staggered("compiled")
-
-
-@register_benchmark(
     "micro.solve_staggered.vectorized",
     kind="micro",
     params={**_STAGGERED_PARAMS, "backend": "vectorized"},
@@ -181,28 +171,6 @@ def _bench_staggered_compiled() -> tuple[Callable[[], None], float]:
 )
 def _bench_staggered_vectorized() -> tuple[Callable[[], None], float]:
     return _make_staggered("vectorized")
-
-
-@register_benchmark(
-    "micro.solve_staggered.per_lane",
-    kind="micro",
-    params={**_STAGGERED_PARAMS, "backend": "vectorized", "kernels": "per_lane"},
-    description="numpy backend's per-lane event loops on the same staggered workload",
-)
-def _bench_staggered_per_lane() -> tuple[Callable[[], None], float]:
-    workloads, background = _exascale_staggered()
-    lanes = [(batch.lanes(EXASCALE.ost_count), large_writes) for batch, large_writes in workloads]
-
-    def run() -> None:
-        for view, large_writes in lanes:
-            slope = (
-                EXASCALE.large_write_seek_penalty
-                if large_writes
-                else EXASCALE.small_write_seek_penalty
-            )
-            _solve_staggered(EXASCALE.ost_bandwidth, slope, view, background)
-
-    return run, float(sum(len(batch) for batch, _ in workloads))
 
 
 @register_benchmark(

@@ -32,13 +32,7 @@ from collections.abc import Callable, Sequence
 from . import experiments
 from .analyze.cli import add_analyze_parser, run_analyze
 from .bench.cli import add_bench_parser, run_bench
-from .engine import (
-    SOLVE_SHARDS_ENV,
-    backend_names,
-    machine_names,
-    resolve_machine,
-    set_default_backend,
-)
+from .engine import backend_names, machine_names, resolve_machine, set_default_backend
 from .io_models import approach_names, resolve_approach
 from .scenario import FULL_SCALE_RANKS, ScenarioConfig
 from .serve import SERVE_ENV, SERVE_WORKERS_ENV, SolveService
@@ -203,13 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, help="process-pool width for multi-scale sweeps (e1)"
     )
     run.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="OST-axis thread shards inside each solve (bit-identical; composes with --jobs)",
-    )
-    run.add_argument(
         "--replications",
         type=int,
         default=None,
@@ -271,8 +258,6 @@ def _scenario_from_args(args: argparse.Namespace) -> ScenarioConfig:
         env["REPRO_ENGINE"] = args.backend
     if args.jobs is not None:
         env["REPRO_JOBS"] = str(args.jobs)
-    if args.shards is not None:
-        env[SOLVE_SHARDS_ENV] = str(args.shards)
     if args.replications is not None:
         env["REPRO_REPLICATIONS"] = str(args.replications)
     if args.serve:
@@ -335,10 +320,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     scenario = _scenario_from_args(args)
     if scenario.backend is not None:
         set_default_backend(scenario.backend)
-    if scenario.solve_shards > 1:
-        # The engine reads the environment at solve time, and REPRO_JOBS
-        # worker processes inherit it — one assignment covers both.
-        os.environ[SOLVE_SHARDS_ENV] = str(scenario.solve_shards)
 
     service: SolveService | None = None
     if scenario.serve:

@@ -1,6 +1,6 @@
 """The seed implementation of the processor-sharing OST solver.
 
-This is the original per-OST event loop from ``repro.cluster``, kept
+This is the original per-OST event loop of the seed's cluster model, kept
 verbatim as the ``reference`` backend: it is the ground truth the
 vectorized backend is cross-validated against (``tests/test_engine.py``)
 and the baseline the perf-guard test measures speedups from.  Cost is

@@ -40,10 +40,10 @@ class WriteRequest:
 class LaneOrder:
     """A batch's requests regrouped into contiguous per-OST lanes.
 
-    The staggered solvers (vectorized scalar loops, the compiled kernel)
-    and the OST-axis sharding all consume the same view: requests sorted
-    by ``(ost % ost_count, arrival)`` — the exact ``np.lexsort`` order
-    the per-OST loops have always used — with the sorted columns
+    The staggered solvers (the per-lane loops and the lockstep row-min
+    sweep) consume the same view: requests sorted by
+    ``(ost % ost_count, arrival)`` — the exact ``np.lexsort`` order the
+    per-OST loops have always used — with the sorted columns
     materialised as contiguous arrays so a kernel streams them without
     gather indirection.  Lane ``k`` occupies ``[starts[k], ends[k])`` of
     every sorted array and serves OST ``ost[k]``.

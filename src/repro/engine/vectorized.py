@@ -161,8 +161,8 @@ def _solve_simultaneous(
     dt = np.where(valid, steps / _per_stream_rate(bw, slope, streams), 0.0)
     # Fold t0 into the first segment so the cumsum accumulates in the
     # exact order the scalar lane loops do (t0 + dt0) + dt1 + ...; the
-    # simultaneous path is then bit-identical to per-lane event solving,
-    # which the OST-sharding bit-identity guarantee relies on.
+    # simultaneous path is then bit-identical to the per-lane loops, which
+    # solve_many relies on when stacking moves a batch onto another path.
     dt[:, 0] += float(t0)
     finish = np.cumsum(dt, axis=1)
 

@@ -16,12 +16,8 @@ Environment variables recognised by :meth:`ScenarioConfig.from_env`:
 ``REPRO_LADDER``          comma-separated rank ladder override
 ``REPRO_DATA_PER_RANK_MB``  payload per rank in MiB (default 45)
 ``REPRO_SEED``            base seed (default 0)
-``REPRO_ENGINE``          engine backend (``vectorized``/``compiled``/
-                          ``reference``)
+``REPRO_ENGINE``          engine backend (``vectorized``/``reference``)
 ``REPRO_JOBS``            process-pool width for sweeps (default 1)
-``REPRO_SOLVE_SHARDS``    OST-axis thread shards inside each solve
-                          (default 1; bit-identical to serial, composes
-                          with ``REPRO_JOBS``)
 ``REPRO_REPLICATIONS``    independently-seeded replications per experiment
                           cell; > 1 adds CI columns (default 1)
 ``REPRO_SERVE``           route supporting experiments through the memoized
@@ -45,7 +41,7 @@ import os
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
-from .engine import Interference, Machine, active_shards, backend_names, resolve_machine
+from .engine import Interference, Machine, backend_names, resolve_machine
 from .serve import SERVE_ENV, active_serve_workers
 from .util import MB, env_flag
 from .workloads import Workload
@@ -71,9 +67,6 @@ class ScenarioConfig:
     backend: str | None = None
     #: Process-pool width for (scale, approach) sweeps; 1 = in-process.
     jobs: int = 1
-    #: OST-axis thread shards inside each solve; 1 = serial.  Any value
-    #: yields bit-identical results (see :mod:`repro.engine.sharding`).
-    solve_shards: int = 1
     #: Independently-seeded replications per experiment cell; > 1 makes
     #: the stochastic experiments report bootstrap-CI column families.
     replications: int = 1
@@ -101,8 +94,6 @@ class ScenarioConfig:
                 )
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.solve_shards < 1:
-            raise ValueError(f"solve_shards must be >= 1, got {self.solve_shards}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
         if self.serve_workers < 1:
@@ -135,7 +126,6 @@ class ScenarioConfig:
             full_scale=full_scale,
             backend=env.get("REPRO_ENGINE") or None,
             jobs=int(env.get("REPRO_JOBS", "1")),
-            solve_shards=active_shards(env),
             replications=int(env.get("REPRO_REPLICATIONS", "1")),
             serve=env_flag(env, SERVE_ENV),
             serve_workers=active_serve_workers(env),

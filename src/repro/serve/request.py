@@ -16,12 +16,11 @@ tests read.
 
 from __future__ import annotations
 
-import os
+import functools
 from dataclasses import dataclass, field
 
 from ..engine import Machine, RequestBatch, resolve_machine
-from ..engine.compiled import FLOAT32_ENV
-from ..util import FloatArray, env_flag
+from ..util import FloatArray
 from .keys import request_key
 
 __all__ = ["SolveRequest", "SolveResponse"]
@@ -40,26 +39,20 @@ class SolveRequest:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "machine", resolve_machine(self.machine))
-        object.__setattr__(self, "_keys", {})
 
-    def key(self, *, float32: bool | None = None) -> str:
+    def key(self) -> str:
         """The canonical content hash of this cell (see :mod:`.keys`).
 
-        Memoized per resolved ``float32`` flag: a request is frozen (and
-        its arrays must not be mutated after construction — the engine's
-        standing contract), so re-submitting the same object costs a
-        dict lookup, not a fresh digest.
+        Memoized: a request is frozen (and its arrays must not be mutated
+        after construction — the engine's standing contract), so
+        re-submitting the same object costs an attribute read, not a
+        fresh digest.
         """
-        if float32 is None:
-            float32 = env_flag(os.environ, FLOAT32_ENV)
-        memo: dict[bool, str] = getattr(self, "_keys")
-        key = memo.get(bool(float32))
-        if key is None:
-            key = request_key(
-                self.machine, self.batch, self.background, self.large_writes, float32=float32
-            )
-            memo[bool(float32)] = key
-        return key
+        return self._digest
+
+    @functools.cached_property
+    def _digest(self) -> str:
+        return request_key(self.machine, self.batch, self.background, self.large_writes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,7 +31,7 @@ Modelling decisions:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +121,9 @@ def run_composition(
     effective = NO_INTERFERENCE if interference is None else interference
     background_rng = np.random.default_rng([seed, seed_key("composition-background")])
 
-    trace = Trace(machine=machine.name, period=period, apps=apps)
+    trace = Trace(
+        machine=machine.name, period=period, apps=apps, machine_fields=asdict(machine)
+    )
     results: dict[str, list[IterationResult]] = {app: [] for app in apps}
     completions: dict[str, list[FloatArray]] = {app: [] for app in apps}
     for _ in range(iterations):
@@ -171,7 +173,10 @@ def replay_trace(
     """
     if not isinstance(trace, Trace):
         trace = Trace.load(trace)
-    machine = resolve_machine(trace.machine if machine is None else machine)
+    if machine is None:
+        fields = trace.machine_fields
+        machine = trace.machine if fields is None else Machine(**fields)
+    machine = resolve_machine(machine)
     completions: dict[str, list[FloatArray]] = {app: [] for app in trace.apps}
     for iteration in trace.iterations:
         merged, segments = merge_batches([iteration.batches[app] for app in trace.apps])

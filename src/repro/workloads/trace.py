@@ -9,13 +9,17 @@ diffable/greppable by ordinary tools.
 
 File layout (one JSON object per line)::
 
-    {"type": "header", "version": 1, "machine": ..., "period": ..., "apps": [...], "iterations": N}
+    {"type": "header", "version": 1, "machine": ..., "machine_fields": {...}, "period": ..., "apps": [...], "iterations": N}
     {"type": "solve", "iteration": 0, "large_writes": true, "background": [...]}
     {"type": "batch", "iteration": 0, "app": "sim", "arrival": [...], "ost": [...], "nbytes": [...], "tag": [...]}
     ...
 
 Python's ``json`` round-trips IEEE-754 doubles exactly (shortest-repr),
-so a replayed solve sees byte-identical inputs.
+so a replayed solve sees byte-identical inputs.  ``machine_fields``
+records every field of the machine the scenario ran on, so a machine
+built with ``with_overrides`` replays as itself rather than as the
+registered machine of the same name.  Traces written without it replay
+on the registered machine.
 """
 
 from __future__ import annotations
@@ -57,6 +61,9 @@ class Trace:
     period: float
     apps: tuple[str, ...]
     iterations: list[TraceIteration] = field(default_factory=list)
+    #: Every field of the recorded machine (``None``: the registered
+    #: machine named ``machine``).
+    machine_fields: dict[str, Any] | None = None
 
     def __len__(self) -> int:
         return len(self.iterations)
@@ -72,6 +79,7 @@ class Trace:
                     "type": "header",
                     "version": _VERSION,
                     "machine": self.machine,
+                    "machine_fields": self.machine_fields,
                     "period": self.period,
                     "apps": list(self.apps),
                     "iterations": len(self.iterations),
@@ -162,4 +170,5 @@ class Trace:
             period=float(header["period"]),
             apps=apps,
             iterations=iterations,
+            machine_fields=header.get("machine_fields"),
         )

@@ -176,6 +176,18 @@ def test_replay_reproduces_the_live_run_exactly(tmp_path):
             np.testing.assert_array_equal(live, again)
 
 
+def test_replay_uses_the_recorded_overridden_machine(tmp_path):
+    # A with_overrides machine keeps its registry name; the replay must
+    # still run on the recorded fields, not the registered machine's.
+    small = KRAKEN.with_overrides(ost_count=24, ost_bandwidth=45 * MB)
+    path = tmp_path / "scenario.jsonl"
+    out = run_composition(small, [FG, BG], 2, period=60.0, seed=6, trace_path=path)
+    replayed = replay_trace(path)
+    for app in out.apps:
+        for live, again in zip(out.completions[app], replayed[app], strict=True):
+            np.testing.assert_array_equal(live, again)
+
+
 def test_replay_agrees_across_engine_backends(tmp_path):
     # The acceptance bar: a recorded trace replayed through both engine
     # backends yields identical per-app completion times.

@@ -47,7 +47,7 @@ def _assert_backends_agree(batch, *, background=None, large_writes):
 
 
 def test_backend_registry():
-    assert set(backend_names()) >= {"vectorized", "reference"}
+    assert backend_names() == ("reference", "vectorized")
     assert default_backend() == "vectorized"
 
 
@@ -66,6 +66,64 @@ def test_empty_batch():
     for backend in ("vectorized", "reference"):
         done = solve(KRAKEN, RequestBatch.from_requests([]), large_writes=True, backend=backend)
         assert done.size == 0
+
+
+_BAD_BACKGROUNDS = {
+    "short": (np.ones(3), "shape"),
+    "nan": (np.full(KRAKEN.ost_count, np.nan), "finite"),
+    "negative": (np.full(KRAKEN.ost_count, -1.0), ">= 0"),
+}
+
+
+@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("case", sorted(_BAD_BACKGROUNDS))
+def test_bad_background_rejected_by_every_backend(backend, case):
+    background, reason = _BAD_BACKGROUNDS[case]
+    staggered = RequestBatch([0.0, 0.5], [0, 0], MB)
+    with pytest.raises(ValueError, match="background") as raised:
+        solve(KRAKEN, staggered, background=background, large_writes=False, backend=backend)
+    assert reason in str(raised.value)
+    # solve_many stacks the backgrounds and reaches the same check.
+    with pytest.raises(ValueError, match="background"):
+        solve_many(
+            KRAKEN, [staggered], backgrounds=[background], large_writes=False, backend=backend
+        )
+
+
+# -- the processor-sharing model ------------------------------------------
+
+
+def test_single_stream_runs_at_full_bandwidth():
+    done = simulate_writes(
+        KRAKEN,
+        [WriteRequest(arrival=0.0, ost=0, nbytes=90 * MB, tag=0)],
+        large_writes=True,
+    )
+    assert done[0] == pytest.approx(1.0, rel=1e-6)
+
+
+def test_sharing_an_ost_is_slower_than_spreading():
+    reqs_shared = [WriteRequest(arrival=0.0, ost=0, nbytes=90 * MB, tag=i) for i in range(4)]
+    reqs_spread = [WriteRequest(arrival=0.0, ost=i, nbytes=90 * MB, tag=i) for i in range(4)]
+    shared = simulate_writes(KRAKEN, reqs_shared, large_writes=True)
+    spread = simulate_writes(KRAKEN, reqs_spread, large_writes=True)
+    assert max(shared.values()) > max(spread.values())
+    # Interleaving pays a seek penalty on top of the bandwidth split.
+    assert max(shared.values()) > 4.0
+
+
+def test_late_arrival_completes_after_early_one():
+    done = simulate_writes(
+        KRAKEN,
+        [
+            WriteRequest(arrival=0.0, ost=0, nbytes=45 * MB, tag=0),
+            WriteRequest(arrival=10.0, ost=0, nbytes=45 * MB, tag=1),
+        ],
+        large_writes=True,
+    )
+    # The first write finishes alone before the second even arrives.
+    assert done[0] == pytest.approx(0.5, rel=1e-6)
+    assert done[1] == pytest.approx(10.5, rel=1e-6)
 
 
 # -- RequestBatch container ------------------------------------------------

@@ -6,7 +6,7 @@
   load, merged multi-app batches, wide stacked batches that engage the
   matrix fast path) must agree with the reference backend to 1e-9 — for
   *every* backend in the live registry, so a newly registered solver
-  (e.g. ``compiled``) is cross-validated automatically.
+  is cross-validated automatically.
 * **Trace record/replay round trip** — a random multi-application
   workload is recorded, saved, reloaded, and replayed; the replay must
   reproduce the recorded per-app completion times exactly on both
@@ -53,7 +53,7 @@ def _random_batch(rng: np.random.Generator) -> tuple[RequestBatch, np.ndarray | 
 
 def test_fuzz_backends_agree_on_random_batches():
     # Draw the candidate set from the live registry: every registered
-    # backend (vectorized, compiled, future ones) fuzzes against the
+    # backend (vectorized, future ones) fuzzes against the
     # reference ground truth on the same ~100 batches.
     candidates = [name for name in backend_names() if name != "reference"]
     assert candidates, "registry must hold at least one non-reference backend"

@@ -1,5 +1,7 @@
 """Unit tests for the machine registry and the shipped platforms."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine import (
@@ -66,3 +68,51 @@ def test_experiments_run_on_alternate_machines():
 def test_machine_has_nic_bandwidth():
     assert KRAKEN.nic_bandwidth > 0
     assert EXASCALE.nic_bandwidth > KRAKEN.nic_bandwidth
+
+
+def test_kraken_constants():
+    assert KRAKEN.cores_per_node == 12
+    assert KRAKEN.ost_count == 336
+    assert KRAKEN.peak_bandwidth == pytest.approx(336 * 90 * MB)
+
+
+def test_with_overrides_returns_new_machine():
+    small = KRAKEN.with_overrides(ost_count=96)
+    assert small.ost_count == 96
+    assert small.cores_per_node == KRAKEN.cores_per_node
+    assert KRAKEN.ost_count == 336  # original untouched
+    assert isinstance(small, Machine)
+
+
+def test_with_overrides_rejects_unknown_fields():
+    with pytest.raises(TypeError):
+        KRAKEN.with_overrides(not_a_field=1)
+
+
+def test_machine_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        KRAKEN.ost_count = 1  # type: ignore[misc]
+
+
+def test_resolve_machine_by_name_and_instance():
+    assert resolve_machine("kraken") is KRAKEN
+    assert resolve_machine("KRAKEN") is KRAKEN
+    assert resolve_machine(KRAKEN) is KRAKEN
+    with pytest.raises(ValueError):
+        resolve_machine("summit")
+
+
+def test_nodes_for():
+    assert KRAKEN.nodes_for(576) == 48
+    assert KRAKEN.nodes_for(5) == 1
+
+
+def test_seek_penalty_shape():
+    assert KRAKEN.seek_penalty(1, large_writes=False) == pytest.approx(1.0)
+    small = KRAKEN.seek_penalty(4, large_writes=False)
+    large = KRAKEN.seek_penalty(4, large_writes=True)
+    assert small > large > 1.0
+    # Saturates instead of growing without bound.
+    assert KRAKEN.seek_penalty(1000, large_writes=False) == KRAKEN.seek_penalty(
+        500, large_writes=False
+    )

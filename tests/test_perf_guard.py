@@ -15,11 +15,7 @@ the shared best-of-N harness and asserts the speedup:
   per-batch loop on E2's 150 replication batches, nor the end-to-end
   batched replication driver than the serial ``run_iteration`` loop.
   Each serial solve of a 336-OST Kraken batch runs the same all-lanes
-  kernels as the stack (measured ~1.3x for both);
-* the compiled staggered kernel ≥10x the per-lane event loops it compiles
-  on the 9216-rank exascale poisson+burst mix — the jitted claim, so the
-  guard skips when numba is absent (the pure-python fallback is about
-  semantics, not speed; the with-numba CI leg enforces the ratio).
+  kernels as the stack (measured ~1.3x for both).
 
 Best-of-N timing absorbs most shared-runner noise; for runners where
 that is still not enough, ``REPRO_PERF_STRICT=0`` downgrades a failed
@@ -32,7 +28,6 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import PerfWarning, assert_speedup, measure, resolve_benchmark
-from repro.engine import numba_available
 
 
 def _best(name: str, repeats: int = 3) -> float:
@@ -112,24 +107,6 @@ def test_batched_replication_driver_beats_serial():
         "micro.replication.driver_batched", "micro.replication.driver_serial", 3
     )
     assert_speedup(batched, serial, ratio=1.0, label="batched vs serial replication driver")
-
-
-def test_compiled_staggered_kernel_beats_vectorized_10x():
-    """Jitted staggered kernel >= 10x the per-lane event loops at exascale.
-
-    The order-of-magnitude claim of the compiled backend, measured on
-    the registered 9216-rank poisson+burst workload against the loops it
-    compiles (the vectorized backend itself solves this 1024-OST
-    batch in the all-lanes row-min sweep).  Only meaningful
-    jitted: without numba the kernels run as plain Python for semantics
-    parity, so the guard skips rather than asserting a number the
-    fallback was never meant to hit.
-    """
-    if not numba_available():
-        pytest.skip("numba not installed; compiled backend runs the pure-python fallback")
-    compiled = _best("micro.solve_staggered.compiled")
-    per_lane = _best("micro.solve_staggered.per_lane")
-    assert_speedup(compiled, per_lane, ratio=10.0, label="compiled vs per-lane staggered loops")
 
 
 def test_serve_sustained_beats_inline_3x():

@@ -110,15 +110,6 @@ def test_invalid_jobs_rejected():
         ScenarioConfig(jobs=0)
 
 
-def test_solve_shards_from_env():
-    assert ScenarioConfig.from_env({}).solve_shards == 1
-    assert ScenarioConfig.from_env({"REPRO_SOLVE_SHARDS": "4"}).solve_shards == 4
-    with pytest.raises(ValueError):
-        ScenarioConfig.from_env({"REPRO_SOLVE_SHARDS": "0"})
-    with pytest.raises(ValueError):
-        ScenarioConfig(solve_shards=0)
-
-
 def test_from_env_workload_and_trace():
     from repro.workloads import Workload
 

@@ -4,7 +4,7 @@ The service's contract is threefold: its canonical request hash is a
 pure, restart-stable function of the solve inputs (pinned digests guard
 the byte layout); its responses are bit-identical to serial per-request
 solving at any worker count, arrival order or flush interleaving
-(hypothesis drives that, mirroring ``tests/test_sharding.py``); and its
+(hypothesis drives that); and its
 hit/miss accounting reflects exactly which cells ran a solver.  The
 overlapping-stream smoke test at the bottom is what the CI serve job
 executes.
@@ -68,55 +68,46 @@ def test_request_key_digests_are_pinned():
     """
     batch = _pinned_batch()
     assert (
-        request_key(GRID, batch, None, False, float32=False)
-        == "a72a301f165ce885dae5886e5d2716b0f9fd9658204b90d9be3dfd31bf320ea8"
+        request_key(GRID, batch, None, False)
+        == "521fd86542fda6889cf90c70d188b2e18ee2ab8fdb81232d231acb6178f94c1a"
     )
     assert (
-        request_key(GRID, batch, np.zeros(GRID.ost_count), False, float32=False)
-        == "b85290bf6612ec35e0f9c737b303d8b5053c79a8c8392e408dcd020deb756e77"
+        request_key(GRID, batch, np.zeros(GRID.ost_count), False)
+        == "580edbaecd7a6e00d8ed7f28d99b2f35d3e0c8fc0bff1d2afea120525987c5ee"
     )
     assert (
-        request_key(GRID, batch, None, True, float32=False)
-        == "b6bd96656f6fbc8116b700687b0f29c674e0314173b59d1ab7923379b70ffa58"
-    )
-    assert (
-        request_key(GRID, batch, None, False, float32=True)
-        == "8923412edbcef1e8a06c9ae6c85c8fcb089d70a72acbab1d5e6edc2c94f7daa0"
+        request_key(GRID, batch, None, True)
+        == "484f0e5717f8f80b396e6484e265b32112e2a5c52e654445e40e6ffb8e97e244"
     )
 
 
 def test_request_key_identity_semantics():
     batch = _pinned_batch()
-    base = request_key(GRID, batch, None, False, float32=False)
+    base = request_key(GRID, batch, None, False)
     # Tags are caller metadata, not solve inputs: a tagged copy is the same cell.
     tagged = RequestBatch(batch.arrival, batch.ost, batch.nbytes, np.array([7, 8, 9]))
-    assert request_key(GRID, tagged, None, False, float32=False) == base
+    assert request_key(GRID, tagged, None, False) == base
     # OST ids are normalised modulo the machine's OST count.
     shifted = RequestBatch(batch.arrival, batch.ost + GRID.ost_count, batch.nbytes)
-    assert request_key(GRID, shifted, None, False, float32=False) == base
+    assert request_key(GRID, shifted, None, False) == base
     # ... but everything that reaches the arithmetic separates cells.
     other = RequestBatch(batch.arrival, batch.ost, batch.nbytes * 2)
-    assert request_key(GRID, other, None, False, float32=False) != base
+    assert request_key(GRID, other, None, False) != base
     kraken = resolve_machine("kraken")
-    assert request_key(kraken, batch, None, False, float32=False) != base
+    assert request_key(kraken, batch, None, False) != base
+    assert request_key(GRID, batch, None, True) != base
     # A None background is its own marker, not an implicit zero array.
-    zeros = request_key(GRID, batch, np.zeros(GRID.ost_count), False, float32=False)
+    zeros = request_key(GRID, batch, np.zeros(GRID.ost_count), False)
     assert zeros != base
 
 
-def test_request_key_memo_matches_fresh_digest(monkeypatch):
+def test_request_key_memo_matches_fresh_digest():
     request = _random_request(11, 40)
     first = request.key()
     assert request.key() == first  # memoized path
     assert first == request_key(
-        request.machine, request.batch, request.background, request.large_writes, float32=False
+        request.machine, request.batch, request.background, request.large_writes
     )
-    # The memo is per resolved float32 flag, so flipping the env flag
-    # between submissions still yields the right (distinct) key.
-    monkeypatch.setenv("REPRO_FLOAT32", "1")
-    assert request.key() != first
-    monkeypatch.delenv("REPRO_FLOAT32")
-    assert request.key() == first
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +159,7 @@ def test_service_accounting_separates_hits_coalesced_and_solves():
     workers=st.sampled_from([1, 2, 4]),
 )
 def test_service_bit_identical_to_serial(seed, n, workers):
-    """Mirrors the sharding property: any worker count, same bytes."""
+    """Any worker count yields the same bytes."""
     requests = [_random_request(seed + offset, n) for offset in range(4)]
     serial = [
         solve(r.machine, r.batch, background=r.background, large_writes=r.large_writes)
