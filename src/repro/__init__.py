@@ -14,12 +14,19 @@ post-processes and writes it asynchronously.  The layers, bottom up:
   trace record/replay, and the multi-application composer.
 * :mod:`repro.scenario` — the frozen :class:`ScenarioConfig` that pins a
   run's machine, ladder, interference, data volume and seed.
+* :mod:`repro.stats` — the replication driver every approach sweep runs
+  its cells through (a single run is one replication), bootstrap CIs
+  and the per-cell reduction.
 * :mod:`repro.experiments` — one runner per experiment (the paper's
   E1-E8 plus the cross-application interference sweep E9), swept
   serially or across a process pool.
 * :mod:`repro.bench` — the benchmark registry, warmup + best-of-N
   timing harness, and versioned ``BENCH_<sha>.json`` results that track
   the solvers' wall-clock trajectory (``python -m repro bench``).
+* :mod:`repro.serve` — a memoized, shard-parallel solve service on top
+  of the engine.  Only the tooling (:mod:`repro.bench`, the CLI) imports
+  it, so ``import repro`` leaves it unloaded; import ``repro.serve`` to
+  use it.
 
 ``python -m repro run e1 --machine kraken --full-scale`` drives any
 experiment from the command line.
@@ -57,7 +64,7 @@ from .workloads import (
     resolve_arrival_process,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "Machine",

@@ -73,6 +73,14 @@ class RequestBatch:
     Scalar ``arrival``/``ost``/``nbytes`` broadcast to the batch length;
     ``tag`` defaults to the position in the batch (``0..n-1``), which is
     also the order of the completion-time array the solvers return.
+
+    The constructor is the engine's one input check, so every backend,
+    :func:`~repro.engine.solve_many`, :func:`merge_batches` and trace
+    replay see only valid batches.  Every ``arrival`` must be finite and
+    >= 0, every ``nbytes`` finite and >= 0 (a zero-size write completes
+    at its arrival), and each field must have length 1 or the batch
+    length (``tag`` exactly the batch length).  Anything else raises one
+    :class:`ValueError` naming the field.
     """
 
     __slots__ = ("arrival", "ost", "nbytes", "tag", "_lane_orders")
@@ -97,6 +105,11 @@ class RequestBatch:
         ost = np.atleast_1d(np.asarray(ost, dtype=np.int64))
         nbytes = np.atleast_1d(np.asarray(nbytes, dtype=np.float64))
         n = max(arrival.size, ost.size, nbytes.size)
+        for name, values in (("arrival", arrival), ("ost", ost), ("nbytes", nbytes)):
+            if values.size not in (1, n):
+                raise ValueError(f"{name} length {values.size} does not match batch length {n}")
+        _check_finite_non_negative("arrival", arrival)
+        _check_finite_non_negative("nbytes", nbytes)
         self.arrival = np.broadcast_to(arrival, (n,))
         self.ost = np.broadcast_to(ost, (n,))
         self.nbytes = np.broadcast_to(nbytes, (n,))
@@ -178,6 +191,13 @@ class RequestBatch:
 
     def __repr__(self) -> str:
         return f"RequestBatch({len(self)} requests)"
+
+
+def _check_finite_non_negative(name: str, values: FloatArray) -> None:
+    # min/max propagate NaN, so two reductions catch NaN, inf and negatives.
+    if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
+        bad = values[~(np.isfinite(values) & (values >= 0.0))][0]
+        raise ValueError(f"{name} must be finite and >= 0, got {float(bad)}")
 
 
 def merge_batches(batches: Sequence[RequestBatch]) -> tuple[RequestBatch, IntArray]:

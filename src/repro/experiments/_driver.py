@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import os
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from typing import TypeVar
 
 import numpy as np
 
@@ -15,16 +16,14 @@ from ..engine import (
     default_backend,
     set_default_backend,
 )
-from ..io_models import IOApproach, IterationResult, PreparedIteration, resolve_approaches
-from ..serve import SolveService
-from ..stats.replication import cell_rng, replication_rng, run_replications, serve_prepared
-from ..util import seed_key
+from ..io_models import IOApproach, IterationResult, resolve_approaches
+from ..stats.replication import cell_rng, run_replications
+from ..util import env_int, seed_key
 
 __all__ = [
     "run_iterations",
-    "run_all_approaches",
-    "run_replicated_approaches",
     "run_sweep",
+    "map_cells",
     "cell_rng",
     "approach_seed_key",
     "iteration_period",
@@ -32,6 +31,9 @@ __all__ = [
 ]
 
 DEFAULT_INTERFERENCE = Interference()
+
+_Cell = TypeVar("_Cell")
+_Out = TypeVar("_Out")
 
 
 def _validate_replications(replications: int) -> None:
@@ -87,175 +89,57 @@ def _effective_interference(
     return DEFAULT_INTERFERENCE if interference is None else interference
 
 
-def run_all_approaches(
-    machine: Machine,
-    ranks: int,
-    iterations: int,
-    data_per_rank: float,
-    seed: int,
-    with_interference: bool,
-    approaches: Sequence[IOApproach | str] | None = None,
-    interference: Interference | None = None,
-) -> Iterator[tuple[IOApproach, list[IterationResult]]]:
-    """Run a selection of approaches at one scale with the standard seeding.
+def _resolve_jobs(n_jobs: int | None) -> int:
+    """The pool width: ``n_jobs``, or ``REPRO_JOBS`` when ``None``."""
+    if n_jobs is None:
+        return env_int(os.environ, "REPRO_JOBS", default=1)
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    return n_jobs
 
-    ``approaches`` may mix instances and registered names; ``None`` selects
-    the paper's original three.  ``interference`` overrides the default
-    model when ``with_interference`` is set (e.g. a scenario's own).
+
+def _in_backend(job: tuple[Callable[[_Cell], _Out], str, _Cell]) -> _Out:
+    """Run one cell in a pool worker under the parent's engine backend."""
+    fn, backend, cell = job
+    set_default_backend(backend)
+    return fn(cell)
+
+
+def map_cells(
+    fn: Callable[[_Cell], _Out], cells: Sequence[_Cell], n_jobs: int | None
+) -> list[_Out]:
+    """``[fn(cell) for cell in cells]``, serially or on a process pool.
+
+    ``n_jobs`` (``REPRO_JOBS`` when ``None``) must be >= 1; the pool is
+    never wider than the cell count.  Pool workers run under the
+    caller's default engine backend, and every cell seeds its own rng,
+    so the result is bit-identical at any width.  ``fn`` must be a
+    module-level function so it pickles.
     """
-    effective = _effective_interference(with_interference, interference)
-    for approach in resolve_approaches(approaches):
-        rng = cell_rng(seed, ranks, approach)
-        yield approach, run_iterations(
-            approach, machine, ranks, iterations, data_per_rank, rng, effective
-        )
-
-
-def run_replicated_approaches(
-    machine: Machine,
-    ranks: int,
-    iterations: int,
-    data_per_rank: float,
-    seed: int,
-    with_interference: bool,
-    replications: int,
-    approaches: Sequence[IOApproach | str] | None = None,
-    interference: Interference | None = None,
-    batched: bool = True,
-) -> Iterator[tuple[IOApproach, list[list[IterationResult]]]]:
-    """Replicated :func:`run_all_approaches`: R independently-seeded copies.
-
-    Yields ``(approach, replications)`` where the inner value holds one
-    result list per replication (replication 0 being the historical
-    stream).  Replications solve batched through the engine's stacked
-    :func:`~repro.engine.solve_many` path by default; ``batched=False``
-    keeps the serial ground-truth loop.
-    """
-    effective = _effective_interference(with_interference, interference)
-    for approach in resolve_approaches(approaches):
-        yield (
-            approach,
-            run_replications(
-                approach,
-                machine,
-                ranks,
-                iterations,
-                data_per_rank,
-                seed,
-                replications,
-                interference=effective,
-                batched=batched,
-            ),
-        )
+    workers = min(_resolve_jobs(n_jobs), len(cells))
+    if workers <= 1:
+        return [fn(cell) for cell in cells]
+    backend = default_backend()
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_in_backend, [(fn, backend, cell) for cell in cells]))
 
 
 def _run_cell(
-    args: tuple[
-        Machine,
-        int,
-        int,
-        float,
-        int,
-        Interference,
-        IOApproach,
-        str | None,
-        int | None,
-        bool,
-    ],
-) -> tuple[int, str, list[IterationResult] | list[list[IterationResult]]]:
-    """One (scale, approach) cell of a sweep; module-level so it pickles."""
-    (
+    args: tuple[Machine, int, int, float, int, Interference, IOApproach, int, bool],
+) -> list[list[IterationResult]]:
+    """All replications of one (scale, approach) cell of a sweep."""
+    machine, ranks, iterations, data_per_rank, seed, interference, approach, reps, batched = args
+    return run_replications(
+        approach,
         machine,
         ranks,
         iterations,
         data_per_rank,
         seed,
-        interference,
-        approach,
-        backend,
-        replications,
-        batched,
-    ) = args
-    if backend is not None:
-        set_default_backend(backend)
-    results: list[IterationResult] | list[list[IterationResult]]
-    if replications is None:
-        rng = cell_rng(seed, ranks, approach)
-        results = run_iterations(
-            approach, machine, ranks, iterations, data_per_rank, rng, interference
-        )
-    else:
-        results = run_replications(
-            approach,
-            machine,
-            ranks,
-            iterations,
-            data_per_rank,
-            seed,
-            replications,
-            interference=interference,
-            batched=batched,
-        )
-    return ranks, approach.name, results
-
-
-def _resolve_jobs(n_jobs: int | None) -> int:
-    if n_jobs is None:
-        n_jobs = int(os.environ.get("REPRO_JOBS", "1"))
-    return max(1, n_jobs)
-
-
-def _run_sweep_serve(
-    service: SolveService,
-    machine: Machine,
-    scales: Sequence[int],
-    iterations: int,
-    data_per_rank: float,
-    seed: int,
-    interference: Interference,
-    approaches: Sequence[IOApproach],
-    replications: int | None,
-) -> dict[tuple[int, str], list[IterationResult] | list[list[IterationResult]]]:
-    """The sweep's solve-service path: one flush covers every cell.
-
-    Every cell's iterations are *prepared* first — consuming each cell's
-    rng stream in exactly the order the inline path would — and
-    submitted to the service; a single flush then dedups, serves cache
-    hits, and coalesces all remaining cells across the worker shards.
-    Because the service is bit-identical to per-request solving and the
-    rng streams are pure functions of ``(seed, ranks, approach[, r])``,
-    the sweep's output matches the inline path byte for byte.
-    """
-    prepared: list[PreparedIteration] = []
-    spans: list[tuple[int, str, int, int]] = []
-    for ranks in scales:
-        for approach in approaches:
-            start = len(prepared)
-            if replications is None:
-                rng = cell_rng(seed, ranks, approach)
-                prepared.extend(
-                    approach.prepare_iteration(machine, ranks, data_per_rank, rng, interference)
-                    for _ in range(iterations)
-                )
-            else:
-                rngs = [replication_rng(seed, ranks, approach, r) for r in range(replications)]
-                prepared.extend(
-                    approach.prepare_iteration(machine, ranks, data_per_rank, rng, interference)
-                    for rng in rngs
-                    for _ in range(iterations)
-                )
-            spans.append((ranks, approach.name, start, len(prepared)))
-    final = serve_prepared(service, machine, prepared)
-    sweep: dict[tuple[int, str], list[IterationResult] | list[list[IterationResult]]] = {}
-    for ranks, name, start, stop in spans:
-        cell = final[start:stop]
-        if replications is None:
-            sweep[(ranks, name)] = cell
-        else:
-            sweep[(ranks, name)] = [
-                cell[r * iterations : (r + 1) * iterations] for r in range(replications)
-            ]
-    return sweep
+        reps,
+        interference=interference,
+        batched=batched,
+    )
 
 
 def run_sweep(
@@ -268,42 +152,24 @@ def run_sweep(
     approaches: Sequence[IOApproach | str] | None = None,
     n_jobs: int | None = None,
     interference: Interference | None = None,
-    replications: int | None = None,
+    replications: int = 1,
     batched: bool = True,
-    service: SolveService | None = None,
-) -> dict[tuple[int, str], list[IterationResult] | list[list[IterationResult]]]:
+) -> dict[tuple[int, str], list[list[IterationResult]]]:
     """Run every (scale, approach) cell, optionally across a process pool.
 
-    The per-cell rng derivation (:func:`cell_rng`) makes every cell
-    independent of execution order, so the result is bit-identical whether
-    the sweep runs serially or on ``n_jobs`` worker processes
-    (``REPRO_JOBS`` when ``None``).  With ``replications`` set, every cell
-    value becomes one result list per replication — all of a cell's
-    replications run inside one worker (batched through the stacked
-    engine path), so partitioning across processes still cannot change a
-    single bit of the output.
-
-    With ``service`` set, the sweep routes through the memoized solve
-    service instead of the ``n_jobs`` pool (the service's own worker
-    shards parallelise the solving): every cell is prepared up front and
-    one flush solves them all, deduplicated and coalesced — bit-identical
-    again, and repeated cells across sweeps cost one cache lookup.
+    Every cell value holds one result list per replication; replication
+    0 is the historical single-run stream.  ``approaches`` may mix
+    instances and registered names (``None`` selects the paper's three),
+    and ``interference`` overrides the default model when
+    ``with_interference`` is set.  A cell's replications run inside one
+    worker (batched through :func:`~repro.stats.run_replications`), and
+    every stream is a pure function of ``(seed, r, ranks, approach)``,
+    so the sweep is bit-identical serially or on ``n_jobs`` worker
+    processes.
     """
-    resolved = resolve_approaches(approaches)
-    backend = default_backend()
     effective = _effective_interference(with_interference, interference)
-    if service is not None:
-        return _run_sweep_serve(
-            service,
-            machine,
-            scales,
-            iterations,
-            data_per_rank,
-            seed,
-            effective,
-            resolved,
-            replications,
-        )
+    resolved = resolve_approaches(approaches)
+    keys = [(ranks, approach.name) for ranks in scales for approach in resolved]
     cells = [
         (
             machine,
@@ -313,18 +179,10 @@ def run_sweep(
             seed,
             effective,
             approach,
-            backend,
             replications,
             batched,
         )
         for ranks in scales
         for approach in resolved
     ]
-    n_jobs = min(_resolve_jobs(n_jobs), len(cells)) if cells else 1
-    outcomes: Iterable[tuple[int, str, list[IterationResult] | list[list[IterationResult]]]]
-    if n_jobs <= 1:
-        outcomes = map(_run_cell, cells)
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
-    return {(ranks, name): results for ranks, name, results in outcomes}
+    return dict(zip(keys, map_cells(_run_cell, cells, n_jobs), strict=True))

@@ -25,20 +25,19 @@ background level, a controlled comparison.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from ..engine import KRAKEN, Machine, default_backend, resolve_machine, set_default_backend
+from ..engine import KRAKEN, Machine, resolve_machine
 from ..io_models import IOApproach, resolve_approaches
 from ..stats import reduce_replications
 from ..table import Table
 from ..util import MB, replication_seed
 from ..workloads import Workload, run_composition
-from ._driver import _resolve_jobs, _validate_replications, iteration_period
+from ._driver import _validate_replications, iteration_period, map_cells
 
 __all__ = [
     "INTENSITY_LEVELS",
@@ -80,10 +79,9 @@ def _run_cell(
         str,
         Workload,
         str | None,
-        str | None,
         int,
     ],
-) -> tuple[str, str, list[dict[str, Any]]]:
+) -> list[dict[str, Any]]:
     """One (intensity, approach) cell; module-level so it pickles."""
     (
         machine,
@@ -95,12 +93,9 @@ def _run_cell(
         approach_name,
         intensity,
         background,
-        backend,
         trace_dir,
         replications,
     ) = args
-    if backend is not None:
-        set_default_backend(backend)
     foreground = Workload(
         app="sim",
         ranks=ranks,
@@ -150,7 +145,7 @@ def _run_cell(
         if replications > 1:
             row["replication"] = index
         rows.append(row)
-    return intensity, approach_name, rows
+    return rows
 
 
 def run_app_interference(
@@ -185,7 +180,6 @@ def run_app_interference(
         background = _default_background(ranks, data_per_rank)
     _validate_replications(replications)
     names = [a.name for a in resolve_approaches(approaches)]
-    backend = default_backend()
     cells = [
         (
             machine,
@@ -197,26 +191,16 @@ def run_app_interference(
             name,
             intensity,
             background,
-            backend,
             None if trace_dir is None else str(trace_dir),
             replications,
         )
         for intensity in intensities
         for name in names
     ]
-    n_jobs = min(_resolve_jobs(n_jobs), len(cells)) if cells else 1
-    outcomes: Iterable[tuple[str, str, list[dict[str, Any]]]]
-    if n_jobs <= 1:
-        outcomes = map(_run_cell, cells)
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            outcomes = list(pool.map(_run_cell, cells))
-    cell_rows = {(intensity, name): rows for intensity, name, rows in outcomes}
     table = Table()
-    for intensity in intensities:
-        for name in names:
-            for row in cell_rows[(intensity, name)]:
-                table.append(row)
+    for rows in map_cells(_run_cell, cells, n_jobs):
+        for row in rows:
+            table.append(row)
     if replications > 1:
         table = reduce_replications(table, ("intensity", "approach"), seed=seed)
     return table

@@ -17,9 +17,7 @@ import numpy as np
 
 from ..engine import KRAKEN, Machine, resolve_machine
 from ..io_models import DedicatedCores
-from ..serve import SolveService
 from ..stats import reduce_replications
-from ..stats.replication import serve_prepared
 from ..table import Table
 from ..util import MB, replication_seed
 from ._driver import _validate_replications, iteration_period, run_iterations
@@ -35,7 +33,6 @@ def run_spare_time(
     machine: Machine | str = KRAKEN,
     seed: int = 0,
     replications: int = 1,
-    service: SolveService | None = None,
 ) -> Table:
     machine = resolve_machine(machine)
     _validate_replications(replications)
@@ -46,18 +43,7 @@ def run_spare_time(
             # Replication 0 keeps the experiment's historical [seed, ranks]
             # stream; further replications shift the seed by name-hash.
             rng = np.random.default_rng([replication_seed(seed, index), ranks])
-            if service is None:
-                results = run_iterations(
-                    approach, machine, ranks, iterations, data_per_rank, rng
-                )
-            else:
-                # Prepared iterations consume the rng in run_iteration order,
-                # so routing through the memoized service is bit-identical.
-                prepared = [
-                    approach.prepare_iteration(machine, ranks, data_per_rank, rng)
-                    for _ in range(iterations)
-                ]
-                results = serve_prepared(service, machine, prepared)
+            results = run_iterations(approach, machine, ranks, iterations, data_per_rank, rng)
             nodes = machine.nodes_for(ranks)
             node_bytes = approach.node_bytes(machine, ranks, data_per_rank)
             # Ingest of the clients' shared-memory copies plus the async write.

@@ -29,12 +29,7 @@ from ..io_models import IOApproach, IterationResult
 from ..stats import reduce_replications
 from ..table import Table
 from ..util import MB
-from ._driver import (
-    _validate_replications,
-    iteration_period,
-    run_all_approaches,
-    run_replicated_approaches,
-)
+from ._driver import _validate_replications, iteration_period, run_sweep
 
 __all__ = [
     "run_variability",
@@ -79,38 +74,29 @@ def run_variability(
 ) -> Table:
     machine = resolve_machine(machine)
     _validate_replications(replications)
-    table = Table()
-    if replications <= 1:
-        for approach, results in run_all_approaches(
-            machine,
-            ranks,
-            iterations,
-            data_per_rank,
-            seed,
-            with_interference,
-            approaches=approaches,
-            interference=interference,
-        ):
-            table.append(_variability_row(approach.name, ranks, results, compute_time))
-        return table
-    for approach, reps in run_replicated_approaches(
+    sweep = run_sweep(
         machine,
-        ranks,
+        [ranks],
         iterations,
         data_per_rank,
         seed,
         with_interference,
-        replications,
         approaches=approaches,
+        n_jobs=1,
         interference=interference,
+        replications=replications,
         batched=batched,
-    ):
+    )
+    table = Table()
+    for (_, name), reps in sweep.items():
         for index, results in enumerate(reps):
-            table.append(
-                _variability_row(approach.name, ranks, results, compute_time),
-                replication=index,
-            )
-    return reduce_replications(table, ("approach", "ranks"), seed=seed)
+            row = _variability_row(name, ranks, results, compute_time)
+            if replications > 1:
+                row["replication"] = index
+            table.append(row)
+    if replications > 1:
+        table = reduce_replications(table, ("approach", "ranks"), seed=seed)
+    return table
 
 
 def check_variability_shape(table: Table) -> None:

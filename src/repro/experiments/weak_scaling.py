@@ -12,13 +12,12 @@ scale — the paper's ≈3.5x figure for Damaris at 9216 ranks.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from typing import Any, cast
+from typing import Any
 
 import numpy as np
 
 from ..engine import KRAKEN, Interference, Machine, resolve_machine
 from ..io_models import IOApproach, IterationResult, resolve_approaches
-from ..serve import SolveService
 from ..stats import reduce_replications
 from ..table import Table
 from ..util import MB
@@ -78,7 +77,6 @@ def run_weak_scaling(
     interference: Interference | None = None,
     replications: int = 1,
     batched: bool = True,
-    service: SolveService | None = None,
 ) -> Table:
     machine = resolve_machine(machine)
     _validate_replications(replications)
@@ -94,24 +92,21 @@ def run_weak_scaling(
         approaches=approaches,
         n_jobs=n_jobs,
         interference=interference,
-        replications=replications if replications > 1 else None,
+        replications=replications,
         batched=batched,
-        service=service,
     )
-    table = Table()
-    if replications <= 1:
-        singles = cast("dict[tuple[int, str], list[IterationResult]]", sweep)
-        for row in _scaling_rows(singles, scales, names, iterations, compute_time):
-            table.append(row)
-        return table
     # Per-replication speedups compare same-replication runs, so the
     # reduced speedup column is a genuine paired statistic.
-    replicated = cast("dict[tuple[int, str], list[list[IterationResult]]]", sweep)
+    table = Table()
     for index in range(replications):
-        cut = {key: reps[index] for key, reps in replicated.items()}
+        cut = {key: reps[index] for key, reps in sweep.items()}
         for row in _scaling_rows(cut, scales, names, iterations, compute_time):
-            table.append(row, replication=index)
-    return reduce_replications(table, ("approach", "ranks"), seed=seed)
+            if replications > 1:
+                row["replication"] = index
+            table.append(row)
+    if replications > 1:
+        table = reduce_replications(table, ("approach", "ranks"), seed=seed)
+    return table
 
 
 def check_scaling_shape(table: Table) -> None:

@@ -17,14 +17,11 @@ Environment variables recognised by :meth:`ScenarioConfig.from_env`:
 ``REPRO_DATA_PER_RANK_MB``  payload per rank in MiB (default 45)
 ``REPRO_SEED``            base seed (default 0)
 ``REPRO_ENGINE``          engine backend (``vectorized``/``reference``)
-``REPRO_JOBS``            process-pool width for sweeps (default 1)
+``REPRO_JOBS``            process-pool width for sweeps (integer >= 1,
+                          default 1)
 ``REPRO_REPLICATIONS``    independently-seeded replications per experiment
-                          cell; > 1 adds CI columns (default 1)
-``REPRO_SERVE``           route supporting experiments through the memoized
-                          solve service (``1``/``true``; bit-identical)
-``REPRO_SERVE_WORKERS``   solve-service worker shards (default 1; request →
-                          shard assignment is a pure function of the
-                          request hash, so any value is bit-identical)
+                          cell (integer >= 1); > 1 adds CI columns
+                          (default 1)
 ``REPRO_WORKLOAD``        background workload spec for E9
                           (``app=bg,ranks=1152,data_mb=45,arrival=burst,...``)
 ``REPRO_TRACE``           directory E9 records request traces into (JSONL)
@@ -42,8 +39,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
 from .engine import Interference, Machine, backend_names, resolve_machine
-from .serve import SERVE_ENV, active_serve_workers
-from .util import MB, env_flag
+from .util import MB, env_flag, env_int
 from .workloads import Workload
 
 __all__ = ["ScenarioConfig", "DEFAULT_LADDER", "FULL_SCALE_RANKS"]
@@ -70,12 +66,6 @@ class ScenarioConfig:
     #: Independently-seeded replications per experiment cell; > 1 makes
     #: the stochastic experiments report bootstrap-CI column families.
     replications: int = 1
-    #: Route supporting experiments through the memoized solve service
-    #: (:mod:`repro.serve`); bit-identical to the inline paths.
-    serve: bool = False
-    #: Solve-service worker shards; 1 = in-process.  Any value yields
-    #: bit-identical results (deterministic request → shard assignment).
-    serve_workers: int = 1
     #: Background workload override for E9 (``None`` = the default bursty
     #: file-per-process contender).
     workload: Workload | None = None
@@ -96,8 +86,6 @@ class ScenarioConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.replications < 1:
             raise ValueError(f"replications must be >= 1, got {self.replications}")
-        if self.serve_workers < 1:
-            raise ValueError(f"serve_workers must be >= 1, got {self.serve_workers}")
 
     def with_overrides(self, **overrides: object) -> ScenarioConfig:
         """A copy of this scenario with some fields replaced."""
@@ -125,10 +113,8 @@ class ScenarioConfig:
             seed=int(env.get("REPRO_SEED", "0")),
             full_scale=full_scale,
             backend=env.get("REPRO_ENGINE") or None,
-            jobs=int(env.get("REPRO_JOBS", "1")),
-            replications=int(env.get("REPRO_REPLICATIONS", "1")),
-            serve=env_flag(env, SERVE_ENV),
-            serve_workers=active_serve_workers(env),
+            jobs=env_int(env, "REPRO_JOBS", default=1),
+            replications=env_int(env, "REPRO_REPLICATIONS", default=1),
             workload=Workload.parse(env["REPRO_WORKLOAD"]) if env.get("REPRO_WORKLOAD") else None,
             trace=env.get("REPRO_TRACE") or None,
         )

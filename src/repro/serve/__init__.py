@@ -8,6 +8,11 @@ shards (:func:`request_shard` is a pure function of the request hash),
 and solves each shard's share through the stacked
 :func:`~repro.engine.solve_many` path.  Results are bit-identical to
 serial per-request solving at any worker count and any arrival order.
+
+Nothing else in the package imports this one: the experiments solve
+through :func:`~repro.stats.run_replications` and the engine directly,
+so ``import repro`` does not load the service.  Reach it as
+``repro.serve`` or through ``python -m repro serve``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .coalesce import DEFAULT_MAX_STACK, Bucket, coalesce, solve_buckets
 from .keys import KEY_SCHEMA, request_key
 from .request import SolveRequest, SolveResponse
 from .service import (
-    SERVE_ENV,
     SERVE_WORKERS_ENV,
     ServiceStats,
     SolveService,
@@ -29,7 +33,6 @@ from .stream import demo_stream
 __all__ = [
     "DEFAULT_MAX_STACK",
     "KEY_SCHEMA",
-    "SERVE_ENV",
     "SERVE_WORKERS_ENV",
     "Bucket",
     "CacheStats",

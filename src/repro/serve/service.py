@@ -27,6 +27,11 @@ and the shard assignment never feeds back into any cell's arithmetic),
 so the service's results are bit-identical to serial per-request solving
 — for any worker count, any ``max_stack``, any interleaving of submits
 and flushes, and any request arrival order.
+
+The service is a client of the engine, not a layer of the package:
+the experiment runners, :mod:`repro.stats` and :mod:`repro.scenario`
+never import it.  Its callers are library users, the ``python -m repro
+serve`` subcommand and the ``serve`` benchmarks.
 """
 
 from __future__ import annotations
@@ -43,16 +48,12 @@ from .coalesce import DEFAULT_MAX_STACK, coalesce, solve_buckets
 from .request import SolveRequest, SolveResponse
 
 __all__ = [
-    "SERVE_ENV",
     "SERVE_WORKERS_ENV",
     "ServiceStats",
     "SolveService",
     "active_serve_workers",
     "request_shard",
 ]
-
-#: Environment flag routing supporting experiments through the service.
-SERVE_ENV = "REPRO_SERVE"
 
 #: Environment variable selecting the service's worker-process count.
 SERVE_WORKERS_ENV = "REPRO_SERVE_WORKERS"

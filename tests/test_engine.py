@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    GRID5000,
     KRAKEN,
     RequestBatch,
     WriteRequest,
@@ -88,6 +89,34 @@ def test_bad_background_rejected_by_every_backend(backend, case):
         solve_many(
             KRAKEN, [staggered], backgrounds=[background], large_writes=False, backend=backend
         )
+
+
+# Each bad batch: its RequestBatch fields and the field the error names.
+_BAD_BATCHES = {
+    "inf-size": (dict(arrival=[0.0, 0.1], ost=[0, 0], nbytes=[MB, np.inf]), "nbytes"),
+    "nan-arrival": (dict(arrival=[0.0, np.nan], ost=[0, 0], nbytes=MB), "arrival"),
+    "inf-arrival": (dict(arrival=[0.0, np.inf], ost=[0, 0], nbytes=MB), "arrival"),
+    "negative-size": (dict(arrival=0.1, ost=0, nbytes=-MB), "nbytes"),
+    "negative-arrival": (dict(arrival=[-1.0, 0.0], ost=[0, 1], nbytes=MB), "arrival"),
+    "length-mismatch": (dict(arrival=[0.0, 0.1, 0.2], ost=[0, 1], nbytes=MB), "ost"),
+}
+
+
+@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("case", sorted(_BAD_BATCHES))
+def test_bad_batch_rejected_for_every_backend(backend, case):
+    fields, name = _BAD_BATCHES[case]
+    with pytest.raises(ValueError, match=f"^{name} "):
+        solve(GRID5000, RequestBatch(**fields), large_writes=False, backend=backend)
+
+
+@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize("large_writes", [False, True])
+def test_zero_size_write_completes_at_its_arrival(backend, large_writes):
+    batch = RequestBatch([0.0, 0.1, 0.1], [0, 0, 1], [MB, 0.0, 0.0])
+    done = solve(GRID5000, batch, large_writes=large_writes, backend=backend)
+    np.testing.assert_array_equal(done[1:], [0.1, 0.1])
+    assert done[0] > 0.0
 
 
 # -- the processor-sharing model ------------------------------------------

@@ -7,6 +7,7 @@ every replication independent of the others.
 """
 
 import numpy as np
+import pytest
 
 from repro.experiments import (
     check_variability_statistics,
@@ -20,6 +21,7 @@ from repro.experiments import (
 )
 from repro.experiments._driver import run_sweep
 from repro.engine import KRAKEN
+from repro.scenario import ScenarioConfig
 from repro.util import MB
 
 _KW = dict(ranks=192, iterations=3, data_per_rank=45 * MB, seed=7)
@@ -217,3 +219,40 @@ def test_every_runner_rejects_non_positive_replications():
         run_insitu_scaling(scales=(92,), replications=0)
     with pytest.raises(ValueError, match="replications"):
         run_app_interference(ranks=96, replications=0)
+
+
+# Each bad knob: how it is set, the call that reads it, and the name the
+# error must carry.
+_BAD_KNOBS = {
+    "env-jobs-word": (
+        {"REPRO_JOBS": "two"},
+        lambda: run_weak_scaling(scales=[144], iterations=1),
+        "REPRO_JOBS",
+    ),
+    "env-jobs-scenario": ({"REPRO_JOBS": "two"}, ScenarioConfig.from_env, "REPRO_JOBS"),
+    "env-jobs-zero": ({"REPRO_JOBS": "0"}, ScenarioConfig.from_env, "REPRO_JOBS"),
+    "env-replications-word": (
+        {"REPRO_REPLICATIONS": "two"},
+        ScenarioConfig.from_env,
+        "REPRO_REPLICATIONS",
+    ),
+    "weak-scaling-negative-jobs": (
+        {},
+        lambda: run_weak_scaling(scales=[576, 1152], n_jobs=-3),
+        "n_jobs",
+    ),
+    "app-interference-zero-jobs": (
+        {},
+        lambda: run_app_interference(ranks=96, iterations=1, n_jobs=0),
+        "n_jobs",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_KNOBS))
+def test_bad_jobs_and_replication_knobs_name_the_knob(case, monkeypatch):
+    env, call, name = _BAD_KNOBS[case]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    with pytest.raises(ValueError, match=name):
+        call()

@@ -10,6 +10,11 @@ overlapping-stream smoke test at the bottom is what the CI serve job
 executes.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,90 +249,25 @@ def test_coalesce_groups_by_machine_and_write_class():
 
 
 # ---------------------------------------------------------------------------
-# The experiment integrations: replication driver, sweeps, CLI, scenario.
+# Layering and the CLI subcommand.
 # ---------------------------------------------------------------------------
 
 
-def test_run_replications_service_path_bit_identical():
-    from repro.stats import run_replications
-
-    kw = dict(
-        approach="file-per-process",
-        machine=GRID,
-        ranks=96,
-        iterations=2,
-        data_per_rank=4 * MB,
-        seed=5,
-        replications=3,
+def test_no_layer_below_the_service_imports_it():
+    # A fresh interpreter: this test session has long since loaded the service.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, repro, repro.experiments, repro.stats, repro.scenario; "
+        "print('repro.serve' in sys.modules)"
     )
-    inline = run_replications(**kw)
-    service = SolveService(workers=2)
-    served = run_replications(**kw, service=service)
-    for reps_a, reps_b in zip(inline, served, strict=True):
-        for a, b in zip(reps_a, reps_b, strict=True):
-            np.testing.assert_array_equal(a.visible_times, b.visible_times)
-    assert service.stats.served == 6
-
-
-def test_run_sweep_serve_path_single_flush_and_bit_identical():
-    from repro.experiments._driver import run_sweep
-
-    kw = dict(
-        machine=GRID,
-        scales=(48, 96),
-        iterations=2,
-        data_per_rank=4 * MB,
-        seed=1,
-        with_interference=False,
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    inline = run_sweep(**kw)
-    service = SolveService(workers=3)
-    served = run_sweep(**kw, service=service)
-    assert inline.keys() == served.keys()
-    for cell in inline:
-        for a, b in zip(inline[cell], served[cell], strict=True):
-            np.testing.assert_array_equal(a.visible_times, b.visible_times)
-    stats = service.stats
-    # One flush covered every cell of the sweep, and the deterministic
-    # approaches' repeated iterations deduplicated inside it.
-    assert stats.served == stats.submitted
-    assert stats.solved < stats.submitted
-
-
-def test_experiment_runners_serve_equals_inline():
-    from repro.experiments import run_spare_time, run_weak_scaling
-
-    kw = dict(scales=(48, 96), iterations=2, machine=GRID, seed=2, replications=2)
-    assert (
-        run_weak_scaling(**kw).to_json()
-        == run_weak_scaling(**kw, service=SolveService(workers=2)).to_json()
-    )
-    assert (
-        run_spare_time(**kw).to_json()
-        == run_spare_time(**kw, service=SolveService(workers=2)).to_json()
-    )
-
-
-def test_scenario_reads_serve_knobs():
-    from repro.scenario import ScenarioConfig
-
-    default = ScenarioConfig.from_env({})
-    assert default.serve is False and default.serve_workers == 1
-    config = ScenarioConfig.from_env({"REPRO_SERVE": "1", SERVE_WORKERS_ENV: "4"})
-    assert config.serve is True and config.serve_workers == 4
-    with pytest.raises(ValueError, match=r"REPRO_SERVE_WORKERS.*'lots'"):
-        ScenarioConfig.from_env({SERVE_WORKERS_ENV: "lots"})
-
-
-def test_cli_run_e1_serve_matches_inline(capsys, monkeypatch):
-    from repro.cli import main
-
-    monkeypatch.setenv("REPRO_LADDER", "48,96")
-    base = ["run", "e1", "--machine", "grid5000", "--seed", "0"]
-    assert main([*base, "--format", "csv"]) == 0
-    inline = capsys.readouterr().out
-    assert main([*base, "--format", "csv", "--serve", "--serve-workers", "2"]) == 0
-    assert capsys.readouterr().out == inline
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_serve_subcommand_compares_inline(capsys):
