@@ -19,7 +19,7 @@ that splits the completion times back out per batch.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ __all__ = ["solve_many"]
 
 def solve_many(
     machine: Machine,
-    batches: Sequence[RequestBatch],
+    batches: Iterable[RequestBatch],
     *,
     backgrounds: Sequence[FloatArray | None] | None = None,
     large_writes: bool,
@@ -82,6 +82,7 @@ def solve_many(
                     )
                 )
             return out
+    lengths = [len(b) for b in batches]
     merged, segments = merge_batches(batches)
     stacked = RequestBatch(
         arrival=merged.arrival,
@@ -89,9 +90,13 @@ def solve_many(
         nbytes=merged.nbytes,
         tag=merged.tag,
     )
-    background = _stack_backgrounds(machine, backgrounds, len(batches))
+    background = _stack_backgrounds(machine, backgrounds, len(lengths))
+    # Hold nothing but the stack while the kernel runs: a caller that
+    # passes batches it keeps no reference to (a generator) frees them
+    # here, before the kernel's transient matrices peak.
+    del batches, backgrounds, merged, segments
     done = solve(
-        machine.with_overrides(ost_count=len(batches) * machine.ost_count),
+        machine.with_overrides(ost_count=len(lengths) * machine.ost_count),
         stacked,
         background=background,
         large_writes=large_writes,
@@ -100,8 +105,7 @@ def solve_many(
     # merge_batches keeps source batches contiguous and in order, so the
     # per-batch views fall out of the running lengths — no need for
     # split_by_segment's generic (and O(batches * requests)) masking.
-    bounds = np.cumsum([len(b) for b in batches[:-1]])
-    return np.split(done, bounds)
+    return np.split(done, np.cumsum(lengths[:-1]))
 
 
 def _stack_backgrounds(

@@ -130,8 +130,13 @@ class RequestBatch:
         if cached is not None:
             return cached
         ost = self.ost % ost_count
-        order = np.lexsort((self.arrival, ost))
+        # Two stable sorts, arrival then OST, give np.lexsort((arrival,
+        # ost))'s order; the OST pass is a radix sort on a narrow key.
+        order = np.argsort(self.arrival, kind="stable")
         ost_sorted = ost[order]
+        by_ost = np.argsort(ost_sort_key(ost_sorted, ost_count), kind="stable")
+        order = order[by_ost]
+        ost_sorted = ost_sorted[by_ost]
         n = order.size
         if n == 0:
             empty = np.empty(0, dtype=np.int64)
@@ -198,6 +203,17 @@ def _check_finite_non_negative(name: str, values: FloatArray) -> None:
     if values.size and not (values.min() >= 0.0 and values.max() < np.inf):
         bad = values[~(np.isfinite(values) & (values >= 0.0))][0]
         raise ValueError(f"{name} must be finite and >= 0, got {float(bad)}")
+
+
+def ost_sort_key(ost: IntArray, ost_count: int) -> npt.NDArray[np.integer[Any]]:
+    """OST ids in ``[0, ost_count)`` on the narrowest dtype that holds
+    them: numpy's stable argsort radix-sorts 16-bit keys, and sorts
+    narrower keys faster in general."""
+    if ost_count <= 1 << 16:
+        return ost.astype(np.uint16)
+    if ost_count <= 1 << 32:
+        return ost.astype(np.uint32)
+    return ost
 
 
 def merge_batches(batches: Sequence[RequestBatch]) -> tuple[RequestBatch, IntArray]:

@@ -52,7 +52,7 @@ import numpy.typing as npt
 
 from ..util import FloatArray, IntArray
 from .machines import Machine, PENALTY_CAP
-from .requests import LaneOrder, RequestBatch
+from .requests import LaneOrder, RequestBatch, ost_sort_key
 
 __all__ = ["solve_vectorized", "WIDE_MIN_GROUPS"]
 
@@ -120,9 +120,18 @@ def solve_vectorized(
 
 
 def _per_stream_rate(bw: float, slope: float, streams: FloatArray) -> FloatArray:
-    """Rate of one stream when an OST serves ``streams`` of them (vectorized)."""
-    penalty = np.minimum(1.0 + slope * np.maximum(streams - 1.0, 0.0), PENALTY_CAP)
-    return bw / (streams * penalty)
+    """Rate of one stream when an OST serves ``streams`` of them (vectorized).
+
+    Computed in one buffer: on the wide kernels' matrices the chained
+    expression's temporaries would set the kernel's peak memory.
+    """
+    penalty = np.subtract(streams, 1.0)
+    np.maximum(penalty, 0.0, out=penalty)
+    penalty *= slope
+    penalty += 1.0
+    np.minimum(penalty, PENALTY_CAP, out=penalty)
+    penalty *= streams
+    return np.divide(bw, penalty, out=penalty)
 
 
 def _solve_simultaneous(
@@ -237,19 +246,14 @@ def _solve_wide_fifo(
     # the ids — fewer radix passes), then order arrivals within each
     # group via one row-wise argsort of a padded matrix; both sorts are
     # stable, so the combined order equals lexsort((arrival, ost)).
-    if bg_per_ost.size <= np.iinfo(np.uint16).max:
-        key = ost.astype(np.uint16)
-    elif bg_per_ost.size <= np.iinfo(np.uint32).max:
-        key = ost.astype(np.uint32)
-    else:
-        key = ost
-    perm = np.argsort(key, kind="stable")
+    perm = np.argsort(ost_sort_key(ost, bg_per_ost.size), kind="stable")
     ost_sorted = ost[perm]
     is_first = np.empty(n, dtype=bool)
     is_first[0] = True
     np.not_equal(ost_sorted[1:], ost_sorted[:-1], out=is_first[1:])
-    group_id = np.cumsum(is_first) - 1
     starts = np.flatnonzero(is_first)
+    bg = bg_per_ost[ost_sorted[starts]].astype(np.float64)
+    del ost_sorted, is_first
     counts = np.diff(np.append(starts, n))
     groups = counts.size
     depth = int(counts.max())
@@ -264,17 +268,24 @@ def _solve_wide_fifo(
         # picks the oldest active request.
         lanes = RequestBatch(arrival, ost, size).lanes(bg_per_ost.size)
         return _solve_lockstep_heap(bw, slope, lanes, bg_per_ost)
-    pos = np.arange(n) - starts[group_id]
     valid = np.arange(depth)[None, :] < counts[:, None]
+    padding = ~valid
 
-    lane = np.full((groups, depth), np.inf)
-    lane[group_id, pos] = arrival[perm]
-    row_order = np.argsort(lane, axis=1, kind="stable")
-    order = perm[(starts[:, None] + row_order)[valid]]
-
-    arrivals = np.zeros((groups, depth))
-    arrivals[group_id, pos] = arrival[order]
-    bg = bg_per_ost[ost_sorted[starts]].astype(np.float64)
+    # The matrices below reuse each other's buffers once a value is dead:
+    # the kernel's peak is a handful of (osts, depth) matrices, which on a
+    # wide stack is most of a run's peak memory.  ``arrivals`` first holds
+    # the unsorted lanes (inf padded, so padding sorts last), then every
+    # lane's arrivals in order (zero padded).  A boolean mask visits the
+    # matrix row by row, which is lane order, so ``[valid]`` scatters and
+    # gathers a flat per-lane array.
+    arrivals = np.full((groups, depth), np.inf)
+    arrivals[valid] = arrival[perm]
+    row_order = np.argsort(arrivals, axis=1, kind="stable")
+    row_order += starts[:, None]
+    order = perm[row_order[valid]]
+    del perm, row_order
+    arrivals[valid] = arrival[order]
+    arrivals[padding] = 0.0
 
     # Arrival phase: j streams are active in the gap before arrival j+1.
     service = np.zeros((groups, depth))
@@ -296,26 +307,32 @@ def _solve_wide_fifo(
         late &= valid[:, 1:]
         storm = ~late.any(axis=1)
         del gaps, streams, rate, first_done, late
-    thresholds = service + size
     rows = np.arange(groups)
     service_last = service[rows, counts - 1]
     t_last = arrivals[rows, counts - 1]
+    thresholds = np.add(service, size, out=service)
 
     # Completion phase: the queue drains FIFO, streams stepping down.
-    remaining = counts[:, None] - np.arange(depth)[None, :]
-    streams = np.where(valid, remaining, 1.0) + bg[:, None]
+    streams = counts[:, None] - np.arange(depth, dtype=np.float64)
+    streams[padding] = 1.0
+    streams += bg[:, None]
     rate = _per_stream_rate(bw, slope, streams)
-    num = np.empty_like(thresholds)
-    num[:, 0] = thresholds[:, 0] - service_last
-    num[:, 1:] = np.diff(thresholds, axis=1)
-    dt = np.where(valid, num / rate, 0.0)
+    del streams
+    dt = arrivals  # the arrivals are dead: their buffer takes the time steps
+    np.subtract(thresholds[:, 0], service_last, out=dt[:, 0])
+    np.subtract(thresholds[:, 1:], thresholds[:, :-1], out=dt[:, 1:])
+    del service, thresholds
+    np.divide(dt, rate, out=dt)
+    del rate
+    dt[padding] = 0.0
     dt[:, 0] += t_last
-    finish = np.cumsum(dt, axis=1)
+    finish = np.cumsum(dt, axis=1, out=dt)
 
     out = np.empty(n + 1, dtype=np.float64)  # out[n]: scratch for the lockstep
     # Scatter every lane unmasked; lanes that failed the storm check hold
     # garbage here and are overwritten by the lockstep re-solve below.
-    out[order] = finish[group_id, pos]
+    out[order] = finish[valid]
+    del arrivals, dt, finish, valid, padding
     if not storm.all():
         # Sparse early arrivals let a request finish mid-storm; those
         # lanes are solved again from the start in lockstep — one event

@@ -148,7 +148,11 @@ class BurstArrivals(ArrivalProcess):
 
     def _rate(self, t: FloatArray, horizon: float, centers: FloatArray) -> FloatArray:
         half = 0.5 * self.burst_width * horizon
-        in_burst = (np.abs(t[:, None] - centers[None, :]) <= half).any(axis=1)
+        # One 1-D test per burst: the same float ops as the (n, bursts)
+        # broadcast, without materialising it.
+        in_burst = np.zeros(t.shape, dtype=bool)
+        for center in centers.tolist():
+            in_burst |= np.abs(t - center) <= half
         return np.where(in_burst, self.burst_rate, self.base_rate)
 
     def sample(self, rng: np.random.Generator, n: int, period: float) -> FloatArray:

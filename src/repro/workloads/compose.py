@@ -4,9 +4,12 @@
 applications side by side on one machine: per iteration, each application's
 arrival process generates *when* its clients write, its approach plans the
 request batch it would put on the file system, and all plans merge into one
-tagged :class:`RequestBatch` solved in a single engine call — so the
-applications genuinely contend for the same OSTs — before the completion
-times split back out per application.
+:class:`RequestBatch` over the shared OSTs — so the applications genuinely
+contend for the same OSTs.  Iterations are independent once every one is
+planned, so the merged batches of all iterations with the same write class
+are solved in one stacked :func:`~repro.engine.solve_many` call (bit-identical
+to one solve per iteration), and each iteration's completion times split
+back out per application.
 
 Modelling decisions:
 
@@ -43,6 +46,7 @@ from ..engine import (
     merge_batches,
     resolve_machine,
     solve,
+    solve_many,
     split_by_segment,
 )
 from ..io_models import IterationPlan, IterationResult, resolve_approach
@@ -124,8 +128,7 @@ def run_composition(
     trace = Trace(
         machine=machine.name, period=period, apps=apps, machine_fields=asdict(machine)
     )
-    results: dict[str, list[IterationResult]] = {app: [] for app in apps}
-    completions: dict[str, list[FloatArray]] = {app: [] for app in apps}
+    iteration_plans: list[list[IterationPlan]] = []
     for _ in range(iterations):
         plans: list[IterationPlan] = []
         for workload, approach, process, rng in states:
@@ -136,21 +139,42 @@ def run_composition(
                 )
             )
         background = effective.sample_background(machine, background_rng)
-        large_writes = all(plan.large_writes for plan in plans)
-        merged, segments = merge_batches([plan.batch for plan in plans])
-        done = solve(
-            machine, merged, background=background, large_writes=large_writes, backend=backend
-        )
         trace.iterations.append(
             TraceIteration(
-                large_writes=large_writes,
+                large_writes=all(plan.large_writes for plan in plans),
                 background=background,
                 batches={app: plan.batch for app, plan in zip(apps, plans, strict=True)},
             )
         )
-        for app, plan, part in zip(
-            apps, plans, split_by_segment(done, segments, len(plans)), strict=True
-        ):
+        iteration_plans.append(plans)
+
+    # Every rng draw is made: the iterations are independent batches now,
+    # so each write class is solved in one stacked call.  The merged
+    # batches are built on demand, so solve_many holds the only copy.
+    done: dict[int, FloatArray] = {}
+    for large_writes in dict.fromkeys(it.large_writes for it in trace.iterations):
+        indices = [
+            k for k, it in enumerate(trace.iterations) if it.large_writes == large_writes
+        ]
+        solved = solve_many(
+            machine,
+            (
+                merge_batches([trace.iterations[k].batches[app] for app in apps])[0]
+                for k in indices
+            ),
+            backgrounds=[trace.iterations[k].background for k in indices],
+            large_writes=large_writes,
+            backend=backend,
+        )
+        done.update(zip(indices, solved, strict=True))
+
+    results: dict[str, list[IterationResult]] = {app: [] for app in apps}
+    completions: dict[str, list[FloatArray]] = {app: [] for app in apps}
+    for k, plans in enumerate(iteration_plans):
+        # merge_batches keeps each application's requests contiguous and
+        # in workload order, so the per-app slices are running lengths.
+        bounds = np.cumsum([len(plan.batch) for plan in plans[:-1]])
+        for app, plan, part in zip(apps, plans, np.split(done[k], bounds), strict=True):
             results[app].append(plan.finalize(part))
             completions[app].append(part)
 
@@ -169,7 +193,8 @@ def replay_trace(
 
     No rng is involved: the trace already pins every request and the
     background load, so the result is exactly what the recording run saw
-    (and must agree across engine backends).
+    (and must agree across engine backends).  It solves one iteration at
+    a time, independently of the recording run's stacked solve.
     """
     if not isinstance(trace, Trace):
         trace = Trace.load(trace)

@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.engine import KRAKEN, RequestBatch, merge_batches, split_by_segment
+from repro.engine import (
+    KRAKEN,
+    RequestBatch,
+    backend_names,
+    merge_batches,
+    register_backend,
+    split_by_segment,
+)
+from repro.engine import api as engine_api
+from repro.engine import vectorized
 from repro.experiments import check_app_interference_shape, run_app_interference
 from repro.io_models import resolve_approach
 from repro.util import MB
@@ -198,6 +207,52 @@ def test_replay_agrees_across_engine_backends(tmp_path):
     for app in out.apps:
         for a, b in zip(vec[app], ref[app], strict=True):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-6)
+
+
+@pytest.mark.parametrize("backend", backend_names())
+@pytest.mark.parametrize(("approach", "ranks"), [("file-per-process", 2304), ("damaris", 9216)])
+def test_stacked_iterations_match_per_iteration_replay(monkeypatch, approach, ranks, backend):
+    # run_composition stacks its iterations into one solve per write
+    # class; replay_trace solves them one at a time.  On full Kraken with
+    # arrivals spread over the period, the stack (4 x 336 virtual OSTs)
+    # takes the all-lanes FIFO kernel and lanes fail its storm check, so
+    # the lockstep re-solve runs too.  Both write classes are covered:
+    # file-per-process writes small, damaris large (one write per node,
+    # so it needs more ranks to put several writes on an OST).
+    rescued = []
+    lockstep = vectorized._solve_lockstep_fifo
+
+    def counted(*args):
+        rescued.append(args[6].size)
+        return lockstep(*args)
+
+    monkeypatch.setattr(vectorized, "_solve_lockstep_fifo", counted)
+    app = Workload(
+        app="sim", ranks=ranks, data_per_rank=45 * MB, arrival="poisson", approach=approach
+    )
+    out = run_composition(KRAKEN, [app], 4, period=120.0, seed=9, backend=backend)
+    assert {it.large_writes for it in out.trace.iterations} == {approach == "damaris"}
+    if backend == "vectorized":
+        assert rescued, "no lane failed the storm check"
+    replayed = replay_trace(out.trace, backend=backend)
+    for live, again in zip(out.completions["sim"], replayed["sim"], strict=True):
+        np.testing.assert_array_equal(live, again)
+
+
+def test_composition_solves_each_write_class_in_one_engine_call(monkeypatch):
+    calls = []
+
+    def counting(machine, batch, background, large_writes):
+        calls.append((machine.ost_count, large_writes))
+        return vectorized.solve_vectorized(machine, batch, background, large_writes)
+
+    monkeypatch.setattr(engine_api, "_BACKENDS", dict(engine_api._BACKENDS))
+    register_backend("counting", counting)
+    run_composition(KRAKEN, [FG, BG], 4, period=60.0, seed=1, backend="counting")
+    assert calls == [(4 * KRAKEN.ost_count, False)]
+    calls.clear()
+    run_composition(KRAKEN, [FG], 3, period=60.0, seed=1, backend="counting")
+    assert calls == [(3 * KRAKEN.ost_count, True)]
 
 
 def test_trace_load_rejects_garbage(tmp_path):

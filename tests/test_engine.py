@@ -326,3 +326,35 @@ def test_storm_check_rounds_like_the_fifo_loop():
     assert alone[0] == 0.7849999999999999  # repro: allow[DET004]
     for stacked in solve_many(KRAKEN, [batch] * 1024, large_writes=False):
         np.testing.assert_array_equal(stacked, alone)
+
+
+@pytest.mark.parametrize("ost_count", [7, 2**16, 2**16 + 1])
+def test_lane_order_equals_lexsort(ost_count):
+    """``RequestBatch.lanes`` groups by two stable sorts (arrival, then
+    OST ids on a narrow key); the order must be ``np.lexsort``'s, ties
+    included, on both sides of the 16-bit key width."""
+    rng = np.random.default_rng(ost_count)
+    n = 3000
+    # The highest ids sit on the width boundary (65536 would wrap to 0
+    # on a 16-bit key); ids past ost_count wrap onto the machine.
+    ost = np.concatenate(
+        [rng.integers(0, 2 * ost_count, n), [0, ost_count - 1, 0, ost_count - 1]]
+    )
+    # Rounded arrivals tie often; ties keep batch order, as in lexsort.
+    arrival = np.round(rng.uniform(0.0, 2.0, ost.size), 1)
+    batch = RequestBatch(arrival=arrival, ost=ost, nbytes=rng.uniform(1.0, 2.0, ost.size))
+    view = batch.lanes(ost_count)
+    order = np.lexsort((arrival, ost % ost_count))
+    np.testing.assert_array_equal(view.order, order)
+    np.testing.assert_array_equal(view.arrival, arrival[order])
+    np.testing.assert_array_equal(view.nbytes, batch.nbytes[order])
+    lane_ost = (ost % ost_count)[order]
+    np.testing.assert_array_equal(view.ost, np.unique(lane_ost))
+    np.testing.assert_array_equal(lane_ost[view.starts], view.ost)
+    np.testing.assert_array_equal(lane_ost[view.ends - 1], view.ost)
+
+
+def test_lane_order_of_an_empty_batch():
+    view = RequestBatch(np.empty(0), np.empty(0, dtype=np.int64), np.empty(0)).lanes(2**16)
+    assert view.lane_count == 0
+    assert view.order.size == view.arrival.size == view.nbytes.size == 0

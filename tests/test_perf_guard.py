@@ -17,6 +17,12 @@ the shared best-of-N harness and asserts the speedup:
   Each serial solve of a 336-OST Kraken batch runs the same all-lanes
   kernels as the stack (measured ~1.3x for both).
 
+One guard is about memory, not time: the all-lanes FIFO kernel's peak
+transient allocation on an E1-shaped stack (20160 lanes x depth 28),
+measured deterministically with :mod:`tracemalloc`, stays within 13
+``(lanes, depth)`` float64 matrices (measured ~6.4; the kernel before
+buffer reuse measured ~18.7).
+
 Best-of-N timing absorbs most shared-runner noise; for runners where
 that is still not enough, ``REPRO_PERF_STRICT=0`` downgrades a failed
 ratio to a :class:`~repro.bench.PerfWarning` (the CI test matrix uses
@@ -25,9 +31,15 @@ it; the dedicated ``bench-perf`` job stays strict).
 
 from __future__ import annotations
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
 from repro.bench import PerfWarning, assert_speedup, measure, resolve_benchmark
+from repro.engine import KRAKEN
+from repro.engine.vectorized import _solve_wide_fifo
+from repro.util import MB
 
 
 def _best(name: str, repeats: int = 3) -> float:
@@ -122,6 +134,34 @@ def test_serve_sustained_beats_inline_3x():
     service = _best("macro.serve.sustained", repeats=2)
     inline = _best("macro.serve.inline", repeats=2)
     assert_speedup(service, inline, ratio=3.0, label="solve service vs inline solving")
+
+
+def test_wide_fifo_kernel_peak_memory_on_e1_stack():
+    """The kernel reuses its matrices' buffers; on a wide stack its peak
+    is most of a run's peak memory (perfbench's ``peak_rss_mb``)."""
+    lanes, depth = 20160, 28
+    rng = np.random.default_rng(0)
+    ost = np.repeat(np.arange(lanes), depth)[rng.permutation(lanes * depth)]
+    arrival = rng.uniform(0.0, 0.5, ost.size)
+    background = np.zeros(lanes)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        done = _solve_wide_fifo(
+            KRAKEN.ost_bandwidth,
+            KRAKEN.small_write_seek_penalty,
+            ost,
+            arrival,
+            45 * MB,
+            background,
+        )
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(done).all()
+    matrices = peak / (lanes * depth * np.dtype(np.float64).itemsize)
+    assert matrices <= 13, f"peak transient {matrices:.1f} (lanes x depth) matrices"
 
 
 def test_perf_strict_escape_hatch_downgrades_to_warning(monkeypatch):

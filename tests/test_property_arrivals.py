@@ -125,6 +125,33 @@ def test_burst_empirical_rate_matches_spec(seed):
     assert abs(share - expected_share) < 6 * sigma + 1e-3, (share, expected_share)
 
 
+@settings(**_SETTINGS)
+@given(
+    seed=seeds,
+    n=st.integers(min_value=0, max_value=300),
+    bursts=st.integers(min_value=1, max_value=6),
+    burst_width=st.floats(min_value=1e-3, max_value=1.0, allow_nan=False),
+    horizon=periods,
+)
+def test_burst_rate_matches_the_broadcast_formula(seed, n, bursts, burst_width, horizon):
+    # _rate tests one burst at a time; the result must equal the 2-D
+    # (n, bursts) formula bit for bit, for overlapping bursts (wide ones,
+    # or centres drawn twice) and for points exactly at centre +- half.
+    process = BurstArrivals(bursts=bursts, burst_width=burst_width)
+    rng = np.random.default_rng(seed)
+    centers = rng.uniform(0.0, horizon, bursts)
+    centers[-1] = centers[0]
+    half = 0.5 * burst_width * horizon
+    edges = np.concatenate([centers - half, centers + half])
+    t = np.concatenate([rng.uniform(0.0, horizon, n), edges, np.nextafter(edges, np.inf)])
+    expected = np.where(
+        (np.abs(t[:, None] - centers[None, :]) <= half).any(axis=1),
+        process.burst_rate,
+        process.base_rate,
+    )
+    assert np.array_equal(process._rate(t, horizon, centers), expected)
+
+
 def test_burst_rejects_bad_parameters():
     with pytest.raises(ValueError):
         BurstArrivals(window=0.0)
